@@ -31,8 +31,8 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, RmlError, StateError
 from .metrics import segmentation_scores
-from .netcore import load_checkpoint, softmax
-from .trainer import RmlConfig, run_rml
+from .netcore import load_checkpoint
+from .trainer import RmlConfig, run_rml, soft_predictions
 
 EXIT_CODES = {"config": 2, "input": 2, "format": 3, "state": 4, "training": 5,
               "internal": 1}
@@ -124,7 +124,10 @@ def _load_config_or_manifest(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    blob = json.loads(path.read_text())
+    try:
+        blob = json.loads(path.read_text())
+    except json.JSONDecodeError:
+        blob = None  # not a manifest; validate_config reports the bad JSON
     if isinstance(blob, dict) and "resolved_config" in blob:
         return config_from_dict(blob["resolved_config"], where=str(path))
     return validate_config(path)
@@ -183,8 +186,7 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     train, ev, meta = load_dataset(args.data)
     ds = ev if args.split == "eval" else train
-    _, logits = model.forward(ds.images.astype(np.float64))
-    preds = softmax(logits).argmax(axis=-1)
+    preds = soft_predictions(model, ds.images).argmax(axis=-1)
     _, iou, miou, acc = segmentation_scores(preds, ds.labels, meta["num_classes"])
     print(json.dumps({"miou": miou, "pixel_acc": acc,
                       "iou": [None if np.isnan(v) else float(v) for v in iou]},

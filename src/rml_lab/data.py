@@ -268,6 +268,8 @@ def load_dataset(datadir):
     datadir = Path(datadir)
     if not (datadir / "images.idx").exists():
         raise FormatError(f"dataset directory {datadir} has no images.idx")
+    if not (datadir / "meta.json").exists():
+        raise FormatError(f"dataset directory {datadir} has no meta.json")
     meta = json.loads((datadir / "meta.json").read_text())
 
     def load_pair(img_name, lab_name):

@@ -10,6 +10,17 @@ All inputs are ``(N, H, W, Cin)`` arrays; every architecture returns a
 feature map ``(N, H, W, C)`` and logits ``(N, H, W, K)`` at the same
 resolution (classification tasks use ``H = W = 1`` with the image flattened
 into channels).
+
+Eval-mode forwards run over chunks of whole images, about
+``EVAL_CHUNK_PIXELS`` pixels each, and concatenate the results. A large
+eval batch then never builds one big im2col patch matrix (75 MB per conv
+layer at 256 images of 16x16 with 16 channels) that must be faulted in on
+every call; each chunk's working set stays cache-sized. BLAS sums small
+matrices in another order, so a row's result can depend on how many rows
+its matmul has. No chunk is therefore smaller than the chunk size unless
+the whole batch is, and the chunked forward is bitwise equal to a forward
+over the whole batch for every architecture (see tests/test_netcore.py).
+Train-mode forwards are not chunked, so their random draws are unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from .errors import ConfigError, FormatError, InputError, InternalError, Trainin
 ARCH_KINDS = ("mlp", "cnn", "attn")
 
 CHECKPOINT_MAGIC = b"RMLCKPT1"
+
+EVAL_CHUNK_PIXELS = 4096    # pixels per eval-mode forward chunk (16 images of 16x16)
 
 
 @dataclass(frozen=True)
@@ -128,9 +141,25 @@ class NetModel:
         )
 
     def forward(self, x: np.ndarray, rng: np.random.Generator | None = None):
-        """Run the network; returns ``(features, logits)``."""
-        feats, logits, _ = _forward(self, x, rng, want_cache=False)
-        return feats, logits
+        """Run the network; returns ``(features, logits)``.
+
+        Pure in eval mode, where the batch runs in chunks of whole images
+        (see the module docstring).
+        """
+        if self.mode != "eval":
+            feats, logits, _ = _forward(self, x, rng, want_cache=False)
+            return feats, logits
+        x = _check_input(self, x)
+        n, h, w, _ = x.shape
+        step = max(1, EVAL_CHUNK_PIXELS // (h * w))
+        # the last chunk takes the remainder, so no chunk is smaller than step
+        bounds = [i * step for i in range(max(1, n // step))] + [n]
+        outs = [_forward(self, x[lo:hi], rng, want_cache=False)[:2]
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+        if len(outs) == 1:
+            return outs[0]
+        feats, logits = zip(*outs)
+        return np.concatenate(feats), np.concatenate(logits)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -432,11 +461,6 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
     return g
 
 
-def model_forward(m: NetModel, x: np.ndarray, rng: np.random.Generator | None = None):
-    """Forward pass returning ``(FeatureMap, Logits)``; pure in eval mode."""
-    return m.forward(x, rng)
-
-
 # ---------------------------------------------------------------------------
 # losses and updates
 # ---------------------------------------------------------------------------
@@ -646,6 +670,8 @@ def load_checkpoint(path, noise: NoiseConfig = NOISE_OFF):
         raise FormatError(
             f"truncated checkpoint {path}: missing {exc.what} at offset {exc.offset}"
         ) from None
+    except OSError as exc:
+        raise FormatError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     params = {n[6:]: t for n, t in tensors.items() if n.startswith("param/")}
     extra = {n: t for n, t in tensors.items() if not n.startswith("param/")}
     spec = parse_arch(desc)

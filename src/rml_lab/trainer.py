@@ -214,27 +214,24 @@ def _build_learner(cfg: RmlConfig, i: int, k: int, images, labels, seed) -> NetM
     )
 
 
-def soft_predictions(model: NetModel, images: np.ndarray, batch: int = 256) -> np.ndarray:
+def soft_predictions(model: NetModel, images: np.ndarray) -> np.ndarray:
     """Eval-mode softmax predictions over clean images."""
     was = model.mode
     model.eval()
     try:
-        out = []
-        for start in range(0, len(images), batch):
-            _, logits = model.forward(images[start:start + batch])
-            out.append(softmax(logits))
-        return np.concatenate(out)
+        return softmax(model.forward(images)[1])
     finally:
         model.mode = was
 
 
+def _scores(probs: np.ndarray, labels: np.ndarray, k: int):
+    _, _, miou, acc = segmentation_scores(probs.argmax(axis=-1), labels, k)
+    return miou, acc
+
+
 def evaluate_model(model: NetModel, ds: Dataset, k: int, limit: int | None = None):
     """Eval mIoU and pixel accuracy on clean images."""
-    images = ds.images if limit is None else ds.images[:limit]
-    labels = ds.labels if limit is None else ds.labels[:limit]
-    preds = soft_predictions(model, images).argmax(axis=-1)
-    _, _, miou, acc = segmentation_scores(preds, labels, k)
-    return miou, acc
+    return _scores(soft_predictions(model, ds.images[:limit]), ds.labels[:limit], k)
 
 
 def _sample(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -292,11 +289,12 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
     stage stores each baseline's own soft predictions; later stages pass the
     previous mean teachers and the store becomes their elementwise average,
     shared by both learners. Banks and stores are only materialized for the
-    rectifying variant.
+    rectifying variant; learners that share one baseline start from copies
+    of one bank.
     """
     if isinstance(baselines, NetModel):
         baselines = (baselines, baselines)
-    students, teachers, banks = [], [], []
+    students, teachers = [], []
     for base in baselines:
         s = base.clone()
         s.noise = cfg.model_noise()
@@ -304,10 +302,11 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
         t = base.clone()
         t.noise = cfg.model_noise()
         teachers.append(t.eval())
-        if cfg.needs_rectification and cfg.confidence_source == "prototype":
-            banks.append(init_bank(base, labeled, unlabeled, k=k, lam=cfg.lam))
-        else:
-            banks.append(None)
+    banks = [None, None]
+    if cfg.needs_rectification and cfg.confidence_source == "prototype":
+        banks[0] = init_bank(baselines[0], labeled, unlabeled, k=k, lam=cfg.lam)
+        banks[1] = (banks[0].copy() if baselines[1] is baselines[0] else
+                    init_bank(baselines[1], labeled, unlabeled, k=k, lam=cfg.lam))
     quad = ModelQuad(students, teachers, banks)
     stores = (None, None)
     if cfg.needs_rectification and len(unlabeled) > 0:
@@ -495,10 +494,15 @@ def _measure_pseudo_acc(quad, stores, ds_sub, cfg, k, rng):
     return accs
 
 
-def _pair_tv(models, images, limit):
-    p1 = soft_predictions(models[0], images[:limit])
-    p2 = soft_predictions(models[1], images[:limit])
-    return tv_distance(p1, p2)
+def _pair_tv(models, eval_set: Dataset, k: int, limit: int):
+    """Eval mIoU and accuracy of each model of a pair and the TV distance
+    between their predictions, from one soft-prediction set per model.
+
+    Returns ``(mious, accs, tv)``.
+    """
+    probs = [soft_predictions(m, eval_set.images[:limit]) for m in models]
+    mious, accs = zip(*(_scores(p, eval_set.labels[:limit], k) for p in probs))
+    return list(mious), list(accs), tv_distance(*probs)
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +627,16 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                          "teacher": rngs_teacher},
                         labeled_batch=(lab_imgs, lab_labels))
                 if (it + 1) % cfg.eval_interval == 0:
-                    miou_s, acc_s = zip(*(evaluate_model(s, eval_set, k, cfg.eval_subset)
-                                          for s in quad.students))
-                    miou_t, acc_t = zip(*(evaluate_model(t, eval_set, k, cfg.eval_subset)
-                                          for t in quad.teachers))
+                    miou_s, acc_s, tv_s = _pair_tv(quad.students, eval_set, k,
+                                                   cfg.eval_subset)
+                    miou_t, acc_t, tv_t = _pair_tv(quad.teachers, eval_set, k,
+                                                   cfg.eval_subset)
                     emit(MetricsRecord(
                         iteration=(stage - 1) * cfg.iterations + it + 1, stage=stage,
                         lr=lr, loss_labeled=losses_l, loss_unlabeled=losses_u,
-                        miou_students=list(miou_s), acc_students=list(acc_s),
-                        miou_teachers=list(miou_t), acc_teachers=list(acc_t),
-                        tv_teachers=_pair_tv(quad.teachers, eval_set.images,
-                                             cfg.eval_subset),
-                        tv_students=_pair_tv(quad.students, eval_set.images,
-                                             cfg.eval_subset),
+                        miou_students=miou_s, acc_students=acc_s,
+                        miou_teachers=miou_t, acc_teachers=acc_t,
+                        tv_teachers=tv_t, tv_students=tv_s,
                         pseudo_acc=(None if pseudo_sub is None else
                                     _measure_pseudo_acc(quad, stores, pseudo_sub,
                                                         cfg, k, rng_metrics)),

@@ -205,3 +205,38 @@ def test_unknown_preset_errors(tmp_path, capsys):
     rc = cli.main(["preset", "nope", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["config"]
     assert "error:config:" in capsys.readouterr().err
+
+
+def test_malformed_config_json_is_one_config_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"lr": 0.1,')
+    rc = cli.main(["train", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:config:")
+    assert "broken.json:1" in err[0]
+
+
+def test_eval_missing_checkpoint_is_one_format_error(tmp_path, capsys):
+    data = gen_shapes(tmp_path, seed=8)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                   "--data", str(data)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:")
+
+
+def test_eval_dataset_without_meta_is_one_format_error(tmp_path, capsys):
+    data = gen_shapes(tmp_path, seed=9)
+    out = tmp_path / "run"
+    cfg_path = write_config(tmp_path, quick_train_blob(data, out))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    (data / "meta.json").unlink()
+    rc = cli.main(["eval", "--checkpoint", str(out / "stage1_teacher1.ckpt"),
+                   "--data", str(data)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:")
+    assert "meta.json" in err[0]

@@ -10,7 +10,6 @@ from rml_lab.netcore import (
     ema_params,
     load_checkpoint,
     loss_and_gradients,
-    model_forward,
     save_checkpoint,
     sgd_step,
     softmax,
@@ -118,8 +117,8 @@ def test_eval_forward_is_pure():
     for kind in ("mlp", "cnn", "attn"):
         m = small_model(kind, noise=NOISY).eval()
         x = small_input(kind)
-        f1, l1 = model_forward(m, x)
-        f2, l2 = model_forward(m, x)
+        f1, l1 = m.forward(x)
+        f2, l2 = m.forward(x)
         np.testing.assert_array_equal(l1, l2)
         np.testing.assert_array_equal(f1, f2)
 
@@ -129,9 +128,9 @@ def test_noise_off_train_equals_eval():
         m = small_model(kind, noise=NoiseConfig(0.5, 0.8, enabled=False))
         x = small_input(kind)
         m.train()
-        _, lt = model_forward(m, x)
+        _, lt = m.forward(x)
         m.eval()
-        _, le = model_forward(m, x)
+        _, le = m.forward(x)
         np.testing.assert_array_equal(lt, le)
 
 
@@ -152,9 +151,9 @@ def test_stochastic_depth_survival_one_is_identity():
     m = small_model("cnn", noise=NoiseConfig(0.0, 1.0, enabled=True))
     x = small_input("cnn")
     m.train()
-    _, lt = model_forward(m, x, rng=np.random.default_rng(0))
+    _, lt = m.forward(x, rng=np.random.default_rng(0))
     m.eval()
-    _, le = model_forward(m, x)
+    _, le = m.forward(x)
     np.testing.assert_array_equal(lt, le)
 
 
@@ -171,6 +170,61 @@ def test_input_shape_errors():
     a = small_model("attn")
     with pytest.raises(InputError):
         a.eval().forward(np.zeros((1, 5, 4, 2)))
+
+
+def count_chunks(monkeypatch):
+    """Record the batch size of every ``_forward`` call."""
+    sizes = []
+    inner = netcore._forward
+
+    def counted(m, x, rng, want_cache):
+        sizes.append(len(x))
+        return inner(m, x, rng, want_cache)
+
+    monkeypatch.setattr(netcore, "_forward", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["cnn", "attn", "mlp"])
+def test_eval_forward_chunks_are_bitwise_whole_batch(kind, monkeypatch):
+    # 16x16 images: 16 per chunk; 37 is no multiple, so the last chunk takes 21
+    m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3).eval()
+    x = np.random.default_rng(4).random((37, 16, 16, 3))
+    whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
+    sizes = count_chunks(monkeypatch)
+    feats, logits = m.forward(x)
+    assert sizes == [16, 21]
+    np.testing.assert_array_equal(feats, whole_f)
+    np.testing.assert_array_equal(logits, whole_l)
+
+
+def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
+    # a 28x28 image is one pixel once flattened: 4096 images per chunk, and
+    # the remainder joins the last chunk, so no chunk has fewer rows than
+    # the whole-batch matmuls would (fewer rows change BLAS summation here)
+    m = build_model("mlp", K=10, C=64, noise=NOISY, seed=3, in_channels=784).eval()
+    step = netcore.EVAL_CHUNK_PIXELS
+    x = np.random.default_rng(5).random((2 * step + 3, 28, 28, 1))
+    whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
+    sizes = count_chunks(monkeypatch)
+    feats, logits = m.forward(x)
+    assert sizes == [step, step + 3]
+    np.testing.assert_array_equal(feats, whole_f)
+    np.testing.assert_array_equal(logits, whole_l)
+    sizes.clear()
+    m.forward(x[:40])
+    assert sizes == [40]
+
+
+@pytest.mark.parametrize("kind", ["cnn", "attn", "mlp"])
+def test_train_forward_is_unchunked(kind):
+    m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
+    x = np.random.default_rng(6).random((37, 16, 16, 3))
+    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+    _, logits = m.forward(x, rng=rng_a)
+    _, whole, _ = netcore._forward(m, x, rng_b, want_cache=False)
+    np.testing.assert_array_equal(logits, whole)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

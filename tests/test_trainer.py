@@ -3,14 +3,18 @@ import pytest
 
 from rml_lab.augment import mix_images
 from rml_lab.data import Dataset, generate_shapes_dataset, make_split
+from rml_lab import trainer
 from rml_lab.errors import ConfigError
+from rml_lab.metrics import tv_distance
 from rml_lab.netcore import cross_entropy, softmax
+from rml_lab.protobank import init_bank
 from rml_lab.rectify import harden_with_threshold
 from rml_lab.trainer import (
     ModelQuad,
     RmlConfig,
     evaluate_model,
     init_stage,
+    soft_predictions,
     labeled_step,
     run_rml,
     train_baseline,
@@ -115,9 +119,15 @@ def test_init_stage_contracts(shapes_data):
     # store covers every unlabeled id exactly once
     assert len(stores[0]) == len(unlabeled)
     assert all(int(i) in stores[0] for i in unlabeled.ids)
-    # banks identical bitwise at init
-    np.testing.assert_array_equal(quad.banks[0].eta, quad.banks[1].eta)
-    np.testing.assert_array_equal(quad.banks[0].seen, quad.banks[1].seen)
+    # banks identical bitwise at init, equal to the baseline's own, not shared
+    fresh = init_bank(base, labeled, unlabeled, k=K, lam=cfg.lam)
+    for bank in quad.banks:
+        np.testing.assert_array_equal(bank.eta, fresh.eta)
+        np.testing.assert_array_equal(bank.seen, fresh.seen)
+    assert quad.banks[0] is not quad.banks[1]
+    for name in ("eta", "pi", "seen"):
+        assert not np.shares_memory(getattr(quad.banks[0], name),
+                                    getattr(quad.banks[1], name))
 
 
 def test_init_stage_skips_banks_for_iml(shapes_data):
@@ -366,6 +376,29 @@ def test_run_rml_bookkeeping_and_determinism(shapes_data, tmp_path):
     assert [r.to_dict() for r in res1.records] == [r.to_dict() for r in res2.records]
     assert ((tmp_path / "a" / "metrics.jsonl").read_bytes()
             == (tmp_path / "b" / "metrics.jsonl").read_bytes())
+
+
+def test_eval_interval_predicts_each_model_once(shapes_data, monkeypatch):
+    # iml: no stage store, so every soft-prediction set belongs to an eval
+    labeled, unlabeled, ev = shapes_data
+    cfg = tiny_cfg(variant="iml", stages=2, iterations=30, eval_interval=15)
+    calls = []
+
+    def counted(model, images):
+        calls.append(len(images))
+        return soft_predictions(model, images)
+
+    monkeypatch.setattr(trainer, "soft_predictions", counted)
+    res = run_rml(labeled, unlabeled, ev, cfg, k=K)
+    assert len(calls) == 4 * len(res.records)
+    last = res.records[-1]
+    for role in ("students", "teachers"):
+        models = getattr(res.quad, role)
+        scores = [evaluate_model(m, ev, K, cfg.eval_subset) for m in models]
+        assert getattr(last, f"miou_{role}") == [s[0] for s in scores]
+        assert getattr(last, f"acc_{role}") == [s[1] for s in scores]
+        probs = [soft_predictions(m, ev.images[:cfg.eval_subset]) for m in models]
+        assert getattr(last, f"tv_{role}") == tv_distance(*probs)
 
 
 def test_run_supervised_matches_train_baseline(shapes_data):
