@@ -121,13 +121,10 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_config_or_manifest(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        blob = json.loads(path.read_text())
-    except json.JSONDecodeError:
-        blob = None  # not a manifest; validate_config reports the bad JSON
+        blob = json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        blob = None  # not a readable manifest; validate_config reports why
     if isinstance(blob, dict) and "resolved_config" in blob:
         return config_from_dict(blob["resolved_config"], where=str(path))
     return validate_config(path)

@@ -82,7 +82,12 @@ def validate_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
+    if not path.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         blob = json.loads(text)
     except json.JSONDecodeError as exc:

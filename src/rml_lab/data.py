@@ -268,9 +268,15 @@ def load_dataset(datadir):
     datadir = Path(datadir)
     if not (datadir / "images.idx").exists():
         raise FormatError(f"dataset directory {datadir} has no images.idx")
-    if not (datadir / "meta.json").exists():
+    meta_path = datadir / "meta.json"
+    if not meta_path.exists():
         raise FormatError(f"dataset directory {datadir} has no meta.json")
-    meta = json.loads((datadir / "meta.json").read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read {meta_path}: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("num_classes"), int):
+        raise FormatError(f"{meta_path}: expected a JSON object with an integer num_classes")
 
     def load_pair(img_name, lab_name):
         images = read_idx(datadir / img_name)

@@ -21,6 +21,19 @@ its matmul has. No chunk is therefore smaller than the chunk size unless
 the whole batch is, and the chunked forward is bitwise equal to a forward
 over the whole batch for every architecture (see tests/test_netcore.py).
 Train-mode forwards are not chunked, so their random draws are unchanged.
+
+A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
+matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights, so each
+output sums its K=9*Ci products in one BLAS reduction. The backward keeps
+that matrix for ``dw``, takes the input gradient from one whole
+``dy @ w.T`` matmul and adds its 9 taps onto the unpadded input gradient in
+(di, dj) order; the stem conv computes no input gradient, since nothing
+uses it. Both matmuls stay whole on purpose: BLAS picks its kernel by
+matrix shape, and splitting ``dy @ w.T`` into one narrow matmul per tap
+changed the bits of ``dx`` in 193 of 750 shapes tried on OpenBLAS 0.3.31
+(every shape with ``Ci=1``, most with ``Co=32``). A shift-and-accumulate
+conv would likewise reorder the K=9*Ci reduction. Kept whole, training is
+bitwise equal to the im2col/col2im reference in tests/test_netcore.py.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, FormatError, InputError, InternalError, TrainingError
 
@@ -272,37 +286,45 @@ def _sd_gate(m: NetModel, n: int, rng):
 def _im2col3(x: np.ndarray) -> np.ndarray:
     """3x3 same-padding patch extraction: (N,H,W,Ci) -> (N,H,W,3,3,Ci)."""
     n, h, w, ci = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((n, h, w, 3, 3, ci))
-    for di in range(3):
-        for dj in range(3):
-            cols[:, :, :, di, dj, :] = xp[:, di:di + h, dj:dj + w, :]
-    return cols
-
-
-def _col2im3(dcols: np.ndarray) -> np.ndarray:
-    n, h, w, _, _, ci = dcols.shape
-    dxp = np.zeros((n, h + 2, w + 2, ci))
-    for di in range(3):
-        for dj in range(3):
-            dxp[:, di:di + h, dj:dj + w, :] += dcols[:, :, :, di, dj, :]
-    return dxp[:, 1:-1, 1:-1, :]
+    xp = np.zeros((n, h + 2, w + 2, ci))
+    xp[:, 1:-1, 1:-1] = x
+    s0, s1, s2, s3 = xp.strides
+    return as_strided(xp, (n, h, w, 3, 3, ci), (s0, s1, s2, s1, s2, s3)).copy()
 
 
 def _conv3(x, w, b):
     n, h, wd, ci = x.shape
     cols = _im2col3(x)
-    y = cols.reshape(n * h * wd, 9 * ci) @ w + b
+    y = cols.reshape(n * h * wd, 9 * ci) @ w
+    y += b
     return y.reshape(n, h, wd, -1), cols
 
 
-def _conv3_back(dy, cols, w):
-    n, h, wd, _, _, ci = cols.shape
-    dy2 = dy.reshape(n * h * wd, -1)
-    dw = cols.reshape(n * h * wd, 9 * ci).T @ dy2
-    db = dy2.sum(axis=0)
-    dcols = (dy2 @ w.T).reshape(n, h, wd, 3, 3, ci)
-    return _col2im3(dcols), dw, db
+def _conv3_grads(dy, cols):
+    """Weight and bias gradients of :func:`_conv3` from its patch matrix."""
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    dw = cols.reshape(dy2.shape[0], -1).T @ dy2
+    return dw, dy2.sum(axis=0)
+
+
+# along rows or columns, tap d of output pixel i reads input pixel i + d - 1;
+# per tap, the input-gradient slice it adds to and the output slice it adds
+_DX_SLICE = (slice(None, -1), slice(None), slice(1, None))
+_DY_SLICE = (slice(1, None), slice(None), slice(None, -1))
+
+
+def _conv3_dx(dy, w):
+    """Input gradient of :func:`_conv3`: the 9 taps of ``dy @ w.T`` summed
+    in (di, dj) order onto a zeroed ``(N,H,W,Ci)`` array."""
+    n, h, wd, co = dy.shape
+    ci = w.shape[0] // 9
+    dcols = (dy.reshape(-1, co) @ w.T).reshape(n, h, wd, 3, 3, ci)
+    dx = np.zeros((n, h, wd, ci))
+    for di in range(3):
+        for dj in range(3):
+            dx[:, _DX_SLICE[di], _DX_SLICE[dj]] += (
+                dcols[:, _DY_SLICE[di], _DY_SLICE[dj], di, dj])
+    return dx
 
 
 def _pixelwise(x, w, b):
@@ -415,14 +437,14 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
         dfeats = dfdrop if cache["dmask"] is None else dfdrop * cache["dmask"]
         db1 = dfeats.copy()
         dc3 = dfeats * cache["g2"]
-        dr2, g["block2_w"], g["block2_b"] = _conv3_back(dc3, cache["cols3"], p["block2_w"])
-        db1 += dr2 * (cache["b1"] > 0)
+        g["block2_w"], g["block2_b"] = _conv3_grads(dc3, cache["cols3"])
+        db1 += _conv3_dx(dc3, p["block2_w"]) * (cache["b1"] > 0)
         dh0 = db1.copy()
         dc2 = db1 * cache["g1"]
-        dh0_branch, g["block1_w"], g["block1_b"] = _conv3_back(dc2, cache["cols2"], p["block1_w"])
-        dh0 += dh0_branch
+        g["block1_w"], g["block1_b"] = _conv3_grads(dc2, cache["cols2"])
+        dh0 += _conv3_dx(dc2, p["block1_w"])
         dc1 = dh0 * (cache["c1"] > 0)
-        _, g["conv1_w"], g["conv1_b"] = _conv3_back(dc1, cache["cols1"], p["conv1_w"])
+        g["conv1_w"], g["conv1_b"] = _conv3_grads(dc1, cache["cols1"])
     else:  # attn
         n, h, w, _ = cache["x"].shape
         pp = m.arch.patch

@@ -7,6 +7,7 @@ import pytest
 from rml_lab import cli
 from rml_lab.config import config_from_dict, resolved_dump, validate_config
 from rml_lab.errors import ConfigError
+from rml_lab.netcore import build_model, save_checkpoint
 
 
 def write_config(tmp_path, blob, name="cfg.json") -> Path:
@@ -240,3 +241,27 @@ def test_eval_dataset_without_meta_is_one_format_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:format:")
     assert "meta.json" in err[0]
+
+
+@pytest.mark.parametrize("meta_text", ['{"num_classes": 6,', "[]", "{}"])
+def test_eval_malformed_meta_is_one_format_error(tmp_path, capsys, meta_text):
+    data = gen_shapes(tmp_path, seed=10)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, build_model("cnn", K=4, C=4, in_channels=3))
+    capsys.readouterr()
+    (data / "meta.json").write_text(meta_text)
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:")
+    assert "meta.json" in err[0]
+
+
+def test_train_config_directory_is_one_config_error(tmp_path, capsys):
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    rc = cli.main(["train", "--config", str(cfg_dir)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:config:")
+    assert "cfgdir" in err[0]

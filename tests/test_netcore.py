@@ -310,6 +310,112 @@ def test_gradients_with_noise_active_match_fd():
 
 
 # ---------------------------------------------------------------------------
+# 3x3 conv: bitwise equal to the im2col/col2im reference
+# ---------------------------------------------------------------------------
+
+
+def ref_im2col3(x):
+    n, h, w, ci = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.empty((n, h, w, 3, 3, ci))
+    for di in range(3):
+        for dj in range(3):
+            cols[:, :, :, di, dj, :] = xp[:, di:di + h, dj:dj + w, :]
+    return cols
+
+
+def ref_col2im3(dcols):
+    n, h, w, _, _, ci = dcols.shape
+    dxp = np.zeros((n, h + 2, w + 2, ci))
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, di:di + h, dj:dj + w, :] += dcols[:, :, :, di, dj, :]
+    return dxp[:, 1:-1, 1:-1, :]
+
+
+def ref_conv3(x, w, b):
+    n, h, wd, ci = x.shape
+    cols = ref_im2col3(x)
+    y = cols.reshape(n * h * wd, 9 * ci) @ w + b
+    return y.reshape(n, h, wd, -1), cols
+
+
+def ref_conv3_back(dy, cols, w):
+    n, h, wd, _, _, ci = cols.shape
+    dy2 = dy.reshape(n * h * wd, -1)
+    dw = cols.reshape(n * h * wd, 9 * ci).T @ dy2
+    db = dy2.sum(axis=0)
+    dcols = (dy2 @ w.T).reshape(n, h, wd, 3, 3, ci)
+    return ref_col2im3(dcols), dw, db
+
+
+def ref_cnn_backward(m, cache, dlogits):
+    """The cnn backward on the reference conv, patch matrices rebuilt from
+    the cached conv inputs."""
+    p = m.params
+    g = {}
+    dfdrop, g["head_w"], g["head_b"] = netcore._pixelwise_back(dlogits, cache["fdrop"], p["head_w"])
+    dfeats = dfdrop if cache["dmask"] is None else dfdrop * cache["dmask"]
+    db1 = dfeats.copy()
+    dc3 = dfeats * cache["g2"]
+    dr2, g["block2_w"], g["block2_b"] = ref_conv3_back(dc3, ref_im2col3(cache["r2"]), p["block2_w"])
+    db1 += dr2 * (cache["b1"] > 0)
+    dh0 = db1.copy()
+    dc2 = db1 * cache["g1"]
+    dh0_branch, g["block1_w"], g["block1_b"] = ref_conv3_back(
+        dc2, ref_im2col3(cache["h0"]), p["block1_w"])
+    dh0 += dh0_branch
+    dc1 = dh0 * (cache["c1"] > 0)
+    _, g["conv1_w"], g["conv1_b"] = ref_conv3_back(dc1, ref_im2col3(cache["x"]), p["conv1_w"])
+    return g
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("n", [1, 4, 17])
+@pytest.mark.parametrize("hw", [(1, 1), (5, 7), (16, 16)])
+@pytest.mark.parametrize("ci,co", [(1, 4), (3, 16), (16, 8)])
+def test_conv3_bitwise_equals_reference(n, hw, ci, co):
+    rng = np.random.default_rng(n * 1000 + ci * 10 + co)
+    x = rng.standard_normal((n, *hw, ci))
+    w = rng.standard_normal((9 * ci, co))
+    b = rng.standard_normal(co)
+    dy = rng.standard_normal((n, *hw, co))
+    y_ref, cols_ref = ref_conv3(x, w, b)
+    dx_ref, dw_ref, db_ref = ref_conv3_back(dy, cols_ref, w)
+    y, cols = netcore._conv3(x, w, b)
+    dw, db = netcore._conv3_grads(dy, cols)
+    for got, want in ((y, y_ref), (cols, cols_ref), (dw, dw_ref), (db, db_ref),
+                      (netcore._conv3_dx(dy, w), dx_ref)):
+        assert_same_bits(got, want)
+
+
+def test_cnn_gradients_bitwise_equal_reference_backward(monkeypatch):
+    seen = []
+    inner = netcore._backward
+
+    def spy(m, cache, dlogits):
+        seen.append((cache, dlogits))
+        return inner(m, cache, dlogits)
+
+    monkeypatch.setattr(netcore, "_backward", spy)
+    m = build_model("cnn", K=6, C=16, noise=NOISY, seed=3, in_channels=3)
+    x = np.random.default_rng(4).random((4, 16, 16, 3))
+    t = onehot_target((4, 16, 16), 6)
+    mask = (np.random.default_rng(5).random((4, 16, 16)) < 0.7).astype(np.float64)
+    _, grads = loss_and_gradients(m, x, t, mask, rng=np.random.default_rng(7))
+    (cache, dlogits), = seen
+    ref = ref_cnn_backward(m, cache, dlogits)
+    assert set(grads) == set(ref) == set(m.params)
+    for name in ref:
+        assert_same_bits(grads[name], ref[name])
+
+
+# ---------------------------------------------------------------------------
 # sgd / ema
 # ---------------------------------------------------------------------------
 
