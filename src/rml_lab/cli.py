@@ -18,18 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_from_dict, resolved_dump, validate_config
+from .config import ExperimentConfig, resolved_dump, validate_config
 from .data import (
     generate_digits_dataset,
     generate_shapes_dataset,
     ingest_mnist_idx,
     load_dataset,
-    load_split,
     make_split,
     save_dataset,
     save_split,
 )
-from .errors import ConfigError, FormatError, RmlError, StateError
+from .errors import ConfigError, RmlError, StateError
 from .metrics import segmentation_scores
 from .netcore import load_checkpoint
 from .trainer import RmlConfig, run_rml, soft_predictions
@@ -42,12 +41,8 @@ SHAPES_SPEC = dict(n_train=192, n_eval=64, h=16, w=16, k=6, rare_freq=0.12)
 MNIST_TRAIN, MNIST_EVAL = 60_000, 2_000
 
 
-def _verbose() -> bool:
-    return os.environ.get("RML_LAB_VERBOSE", "") not in ("", "0")
-
-
 def _log(msg: str) -> None:
-    if _verbose():
+    if os.environ.get("RML_LAB_VERBOSE", "") not in ("", "0"):
         print(msg, file=sys.stderr)
 
 
@@ -59,19 +54,39 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _stale_lock(path: Path) -> bool:
+    """True when a lock file holds the PID of a process that has exited."""
+    try:
+        pid = int(path.read_text())
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # no lock, an empty or unreadable one, or another user's live process
+    return False
+
+
 class OutputLock:
-    """One run per output directory, enforced by a lock file."""
+    """One run per output directory, enforced by a lock file holding the
+    run's PID. A lock left by a process that has exited is taken over; an
+    empty or unreadable lock still refuses. Two runs that start at the same
+    moment on one stale lock can both take it over."""
 
     def __init__(self, out_dir: Path):
         self.path = Path(out_dir) / ".lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if _stale_lock(self.path):
+            self.path.unlink(missing_ok=True)
         try:
-            self.path.touch(exist_ok=False)
+            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise StateError(f"output directory {self.path.parent} is locked "
-                             "(another run in progress? delete .lock if stale)")
+                             "(another run in progress? delete .lock if stale)") from None
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
         return self
 
     def __exit__(self, *exc):
@@ -120,23 +135,10 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_config_or_manifest(path) -> ExperimentConfig:
-    try:
-        blob = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        blob = None  # not a readable manifest; validate_config reports why
-    if isinstance(blob, dict) and "resolved_config" in blob:
-        return config_from_dict(blob["resolved_config"], where=str(path))
-    return validate_config(path)
-
-
 def run_training(cfg: ExperimentConfig, out_dir) -> dict:
     """Load data, split, run, write manifest. Returns the run summary."""
     out = Path(out_dir)
-    data_dir = Path(cfg.data_dir)
-    if not (data_dir / "images.idx").exists():
-        raise FormatError(f"dataset not found under {data_dir} (run gen-data first)")
-    train, ev, meta = load_dataset(data_dir)
+    train, ev, meta = load_dataset(cfg.data_dir)
     k = meta["num_classes"]
     split = make_split(len(train), cfg.train.labeled_fraction, cfg.train.seed)
     labeled = train.subset(split.labeled)
@@ -160,7 +162,7 @@ def run_training(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_or_manifest(args.config)
+    cfg = validate_config(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
     if args.data:
@@ -174,7 +176,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config_or_manifest(args.config)
+    cfg = validate_config(args.config)
     sys.stdout.write(resolved_dump(cfg))
     return 0
 
@@ -309,8 +311,6 @@ def preset_fig2_divergence(out: Path, data: Path | None, seed: int) -> dict:
         "tv_direct_final": results["direct"]["final_tv_teachers"],
         "tv_indirect_noise_final": results["indirect_noise"]["final_tv_teachers"],
     }
-    (out / "preset_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -354,8 +354,6 @@ def preset_ablation_table(out: Path, data: Path | None, seed: int,
             entry["final_pseudo_acc"] = [r["final_pseudo_acc"] for r in runs]
         table[row] = entry
     summary = {"preset": "ablation-table", "seed": seed, "rows": table}
-    (out / "preset_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -372,8 +370,6 @@ def preset_threshold_sweep(out: Path, data: Path | None, seed: int) -> dict:
     vals = list(mious.values())
     summary = {"preset": "threshold-sweep", "seed": seed, "miou_by_tau": mious,
                "spread": float(max(vals) - min(vals))}
-    (out / "preset_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -395,8 +391,6 @@ def preset_hetero_pair(out: Path, data: Path | None, seed: int) -> dict:
         "pair_student_cnn_miou": pair["final_miou_students"][1],
         "pair_teacher_mious": pair["final_miou_teachers"],
     }
-    (out / "preset_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -407,8 +401,6 @@ def preset_stage_sweep(out: Path, data: Path | None, seed: int) -> dict:
         "preset": "stage-sweep", "seed": seed,
         "stage_mious": [st["final_miou"] for st in summary_run["stages"]],
     }
-    (out / "preset_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -428,7 +420,9 @@ def cmd_preset(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = PRESETS[args.name](out, Path(args.data) if args.data else None,
                                  args.seed)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    (out / "preset_summary.json").write_text(text + "\n")
+    print(text)
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,12 +25,7 @@ class ExperimentConfig:
     train: RmlConfig = dataclasses.field(default_factory=RmlConfig)
 
     def to_dict(self) -> dict:
-        blob = {
-            "dataset": self.dataset,
-            "data_dir": self.data_dir,
-            "out_dir": self.out_dir,
-            "preset": self.preset,
-        }
+        blob = {k: getattr(self, k) for k in _TOP_FIELDS}
         blob.update({k: getattr(self.train, k) for k in _TRAIN_FIELDS})
         blob["arch_pair"] = list(self.train.arch_pair)
         blob["feature_dim"] = list(self.train.feature_dim)
@@ -37,7 +33,8 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         if self.dataset not in DATASETS:
-            raise ConfigError(f"dataset must be one of {DATASETS}, got {self.dataset!r}")
+            raise ConfigError(f"dataset must be one of {DATASETS}, got {self.dataset!r}",
+                              "dataset")
         self.train.validate()
         return self
 
@@ -46,38 +43,36 @@ _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(RmlConfig))
 _TOP_FIELDS = ("dataset", "data_dir", "out_dir", "preset")
 
 
-def config_from_dict(blob: dict, where: str = "config") -> ExperimentConfig:
+def config_from_dict(blob: dict) -> ExperimentConfig:
     """Build a validated config from a plain dict; unknown keys are errors."""
     if not isinstance(blob, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    unknown = set(blob) - set(_TOP_FIELDS) - set(_TRAIN_FIELDS)
+        raise ConfigError("expected a JSON object")
+    unknown = sorted(set(blob) - set(_TOP_FIELDS) - set(_TRAIN_FIELDS))
     if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
+        raise ConfigError(f"unknown field(s) {unknown}", unknown[0])
     top = {k: blob[k] for k in _TOP_FIELDS if k in blob}
     train_kw = {k: blob[k] for k in _TRAIN_FIELDS if k in blob}
     try:
         cfg = ExperimentConfig(train=RmlConfig(**train_kw), **top)
     except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return cfg
+        raise ConfigError(str(exc)) from exc
+    return cfg.validate()
 
 
-def _line_of(text: str, field: str) -> int | None:
+def _line_of(text: str, field: str, after: int = 0) -> int | None:
+    """Line number of the first key ``field`` below line ``after``."""
+    key = re.compile(rf'"{re.escape(field)}"\s*:')
     for i, line in enumerate(text.splitlines(), start=1):
-        if f'"{field}"' in line:
+        if i > after and key.search(line):
             return i
     return None
 
 
 def validate_config(path) -> ExperimentConfig:
-    """Load and validate a JSON config file; defaults fill absent fields.
+    """Load and validate a JSON config file, or the ``resolved_config`` of a
+    run manifest; defaults fill absent fields.
 
-    Unknown fields and out-of-range values raise a config error naming the
-    field and, when it can be located, its line in the file.
+    Errors name the file and, when a field is at fault, its line.
     """
     path = Path(path)
     if not path.exists():
@@ -92,24 +87,16 @@ def validate_config(path) -> ExperimentConfig:
         blob = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    if isinstance(blob, dict):
-        unknown = set(blob) - set(_TOP_FIELDS) - set(_TRAIN_FIELDS)
-        if unknown:
-            field = sorted(unknown)[0]
-            line = _line_of(text, field)
-            at = f"{path}:{line}" if line else str(path)
-            raise ConfigError(f"{at}: unknown field {field!r}")
-        try:
-            return config_from_dict(blob, where=str(path))
-        except ConfigError as exc:
-            # attach a line reference for the offending field when findable
-            for field in list(blob):
-                if f"{field} " in str(exc) or f"{field!r}" in str(exc) or field in str(exc):
-                    line = _line_of(text, field)
-                    if line is not None:
-                        raise ConfigError(f"{path}:{line}: {exc}") from None
-            raise
-    return config_from_dict(blob, where=str(path))
+    after = 0
+    if isinstance(blob, dict) and "resolved_config" in blob:
+        after = _line_of(text, "resolved_config") or 0
+        blob = blob["resolved_config"]
+    try:
+        return config_from_dict(blob)
+    except ConfigError as exc:
+        line = _line_of(text, exc.field, after) if exc.field else None
+        at = f"{path}:{line}" if line else str(path)
+        raise ConfigError(f"{at}: {exc}", exc.field) from None
 
 
 def resolved_dump(cfg: ExperimentConfig) -> str:

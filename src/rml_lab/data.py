@@ -267,7 +267,8 @@ def load_dataset(datadir):
     """Load a dataset directory; returns ``(train, eval_set, meta)``."""
     datadir = Path(datadir)
     if not (datadir / "images.idx").exists():
-        raise FormatError(f"dataset directory {datadir} has no images.idx")
+        raise FormatError(f"dataset directory {datadir} has no images.idx "
+                          "(run gen-data first)")
     meta_path = datadir / "meta.json"
     if not meta_path.exists():
         raise FormatError(f"dataset directory {datadir} has no meta.json")

@@ -8,9 +8,16 @@ class RmlError(Exception):
 
 
 class ConfigError(RmlError):
-    """Invalid configuration value or unknown option."""
+    """Invalid configuration value or unknown option.
+
+    ``field`` names the config field at fault, when there is one.
+    """
 
     category = "config"
+
+    def __init__(self, msg: str, field: str | None = None):
+        super().__init__(msg)
+        self.field = field
 
 
 class InputError(RmlError):

@@ -11,6 +11,11 @@ feature map ``(N, H, W, C)`` and logits ``(N, H, W, K)`` at the same
 resolution (classification tasks use ``H = W = 1`` with the image flattened
 into channels).
 
+One loss serves every training step: :func:`loss_and_gradients` runs one
+forward pass, scores a list of ``(target, pixel_mask)`` cross-entropy
+terms against it after checking each term's target and mask, and
+backpropagates the sum of the per-term losses once.
+
 Eval-mode forwards run over chunks of whole images, about
 ``EVAL_CHUNK_PIXELS`` pixels each, and concatenate the results. A large
 eval batch then never builds one big im2col patch matrix (75 MB per conv
@@ -488,69 +493,16 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy(p: np.ndarray, target: np.ndarray, pixel_mask: np.ndarray | None = None) -> float:
-    """Mean cross entropy over unmasked pixels, computed from probabilities.
-
-    ``p`` and ``target`` are ``(..., K)``; probabilities are clamped at
-    1e-12 before the log. All pixels masked out yields 0.0.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if p.shape != target.shape:
-        raise InputError(f"p/target shape mismatch: {p.shape} vs {target.shape}")
-    sums = p.sum(axis=-1)
-    if np.any(p < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-4):
-        raise InputError("p rows are not valid probability vectors")
-    ce = -(target * np.log(np.clip(p, 1e-12, None))).sum(axis=-1)
-    if pixel_mask is None:
-        return float(ce.mean())
-    pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
-    if pixel_mask.shape != ce.shape:
-        raise InputError(f"mask shape {pixel_mask.shape} does not match {ce.shape}")
-    n = pixel_mask.sum()
-    if n == 0:
-        return 0.0
-    return float((ce * pixel_mask).sum() / n)
-
-
-def loss_and_gradients(m: NetModel, x: np.ndarray, target: np.ndarray,
-                       pixel_mask: np.ndarray | None = None,
+def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
                        rng: np.random.Generator | None = None):
-    """Forward + cross-entropy + backward.
+    """Forward, cross entropy for each ``(target, pixel_mask)`` term, backward.
 
-    ``target`` is ``(N,H,W,K)`` with normalized per-pixel rows (one-hot or
-    soft); ``pixel_mask`` is ``(N,H,W)``, 1 for pixels included in the loss.
-    Masked-out pixels contribute zero loss and zero gradient; a fully
-    masked batch returns loss 0 and zero gradients.
-    """
-    feats, logits, cache = _forward(m, x, rng, want_cache=True)
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != logits.shape:
-        raise InputError(f"target shape {target.shape} does not match logits {logits.shape}")
-    tsum = target.sum(axis=-1)
-    if np.any(np.abs(tsum - 1.0) > 1e-4) or np.any(target < -1e-9):
-        raise InputError("target rows must be normalized distributions")
-    if pixel_mask is None:
-        mask = np.ones(logits.shape[:-1])
-    else:
-        mask = np.asarray(pixel_mask, dtype=np.float64)
-        if mask.shape != logits.shape[:-1]:
-            raise InputError(f"mask shape {mask.shape} does not match {logits.shape[:-1]}")
-    n = mask.sum()
-    if n == 0:
-        return 0.0, m.zero_grads()
-    logp = log_softmax(logits)
-    loss = float((-(target * logp).sum(axis=-1) * mask).sum() / n)
-    dlogits = (np.exp(logp) - target) * mask[..., None] / n
-    grads = _backward(m, cache, dlogits)
-    return loss, grads
-
-
-def multi_loss_and_gradients(m: NetModel, x: np.ndarray, terms, rng: np.random.Generator | None = None):
-    """Cross entropy for several ``(target, pixel_mask)`` terms in one pass.
-
-    Returns ``(per_term_losses, grads)`` where the gradients are for the sum
-    of the per-term mean losses. Terms whose mask is empty contribute 0.
+    Each ``target`` is ``(N,H,W,K)`` with normalized per-pixel rows (one-hot
+    or soft); each ``pixel_mask`` is ``(N,H,W)``, 1 for pixels included in
+    that term, or ``None`` for all pixels. A term's loss is its mean over
+    its unmasked pixels, 0 when it has none. Returns ``(per_term_losses,
+    grads)``, the gradients of the sum of the per-term losses; when no term
+    has a pixel they are zero.
     """
     feats, logits, cache = _forward(m, x, rng, want_cache=True)
     logp = log_softmax(logits)
@@ -562,6 +514,9 @@ def multi_loss_and_gradients(m: NetModel, x: np.ndarray, terms, rng: np.random.G
         target = np.asarray(target, dtype=np.float64)
         if target.shape != logits.shape:
             raise InputError(f"target shape {target.shape} does not match logits {logits.shape}")
+        tsum = target.sum(axis=-1)
+        if np.any(np.abs(tsum - 1.0) > 1e-4) or np.any(target < -1e-9):
+            raise InputError("target rows must be normalized distributions")
         if pixel_mask is None:
             mask = np.ones(logits.shape[:-1])
         else:

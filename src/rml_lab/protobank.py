@@ -9,7 +9,7 @@ observed so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,20 @@ def new_bank(k: int, c: int, lam: float) -> PrototypeBank:
     )
 
 
+def _class_sums(features: np.ndarray, assign, k: int):
+    """Per-class feature sums ``(K, C)`` and pixel counts ``(K,)``.
+
+    One ``bincount`` per feature dim, so every sum adds its pixels in the
+    same order wherever prototypes are accumulated.
+    """
+    c = features.shape[-1]
+    flat_f = features.reshape(-1, c)
+    flat_a = np.asarray(assign).ravel()
+    sums = np.stack([np.bincount(flat_a, weights=flat_f[:, dim], minlength=k)
+                     for dim in range(c)], axis=1)
+    return sums, np.bincount(flat_a, minlength=k)
+
+
 def batch_prototypes(features: np.ndarray, assign: np.ndarray, k: int):
     """Per-class feature means over one batch.
 
@@ -55,16 +69,10 @@ def batch_prototypes(features: np.ndarray, assign: np.ndarray, k: int):
         raise InputError(
             f"features {features.shape} do not align with assignments {assign.shape}"
         )
-    c = features.shape[-1]
-    flat_f = features.reshape(-1, c)
-    flat_a = assign.ravel()
-    eta_prime = np.zeros((k, c))
-    counts = np.bincount(flat_a, minlength=k).astype(np.float64)
-    for dim in range(c):
-        eta_prime[:, dim] = np.bincount(flat_a, weights=flat_f[:, dim], minlength=k)
+    sums, counts = _class_sums(features, assign, k)
     present = counts > 0
-    eta_prime[present] /= counts[present, None]
-    return eta_prime, present
+    sums[present] /= counts[present, None]
+    return sums, present
 
 
 def update_bank(bank: PrototypeBank, eta_prime: np.ndarray, present: np.ndarray) -> PrototypeBank:
@@ -91,8 +99,7 @@ def init_bank(model, labeled, unlabeled, k: int, lam: float,
     """
     was = model.mode
     model.eval()
-    sums = None
-    counts = np.zeros(k)
+    parts = []
     try:
         for ds, use_gt in ((labeled, True), (unlabeled, False)):
             if ds is None or len(ds) == 0:
@@ -100,21 +107,15 @@ def init_bank(model, labeled, unlabeled, k: int, lam: float,
             for start in range(0, len(ds), batch):
                 x = ds.images[start:start + batch].astype(np.float64)
                 feats, logits = model.forward(x)
-                if use_gt:
-                    assign = ds.labels[start:start + batch]
-                else:
-                    assign = logits.argmax(axis=-1)
-                if sums is None:
-                    sums = np.zeros((k, feats.shape[-1]))
-                flat_f = feats.reshape(-1, feats.shape[-1])
-                flat_a = np.asarray(assign).ravel()
-                counts += np.bincount(flat_a, minlength=k)
-                for dim in range(feats.shape[-1]):
-                    sums[:, dim] += np.bincount(flat_a, weights=flat_f[:, dim], minlength=k)
+                assign = (ds.labels[start:start + batch] if use_gt
+                          else logits.argmax(axis=-1))
+                parts.append(_class_sums(feats, assign, k))
     finally:
         model.mode = was
-    if sums is None:
+    if not parts:
         raise InputError("init_bank needs at least one nonempty dataset")
+    sums = sum(s for s, _ in parts)
+    counts = sum(n for _, n in parts)
     bank = new_bank(k, sums.shape[1], lam)
     present = counts > 0
     bank.eta[present] = sums[present] / counts[present, None]

@@ -1,20 +1,21 @@
 """Pseudo-label generation, thresholding and prototype-based rectification.
 
-A stage keeps the initial soft predictions ``p0`` for every unlabeled image
-frozen in a :class:`StagePseudoStore`; each step reweights them with the
-current confidence map and re-hardens. CutMixed pairs are rectified per
-image and then mixed with the same mask.
+A stage keeps the initial soft predictions ``p0`` of every unlabeled image
+frozen in a :class:`StagePseudoStore`, one ``(N,H,W,K)`` array whose rows
+are looked up by stable image id. Each step reweights a batch's rows with
+the current confidence map and re-hardens them
+(:func:`rectified_labels`). The labels of the two halves of a CutMix pair
+are rectified separately and mixed by the trainer, like every variant's
+pseudo labels.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .augment import mix_label_maps, mix_valid_masks, photometric
+from .augment import photometric
 from .errors import InputError, StateError
 from .netcore import softmax
 from .protobank import confidence_weights
@@ -41,46 +42,24 @@ class OneHotMap:
 
 
 class StagePseudoStore:
-    """Frozen stage-initial soft pseudo labels, keyed by stable image id."""
+    """Frozen stage-initial soft pseudo labels: one ``(N,H,W,K)`` array plus
+    the row of each stable image id."""
 
-    def __init__(self, entries: dict[int, np.ndarray], stage: int):
-        self.entries = {int(k): np.asarray(v, dtype=np.float64) for k, v in entries.items()}
+    def __init__(self, ids, p0: np.ndarray, stage: int):
+        self.p0 = np.asarray(p0, dtype=np.float64)
+        self.rows = {int(i): r for r, i in enumerate(np.asarray(ids).ravel())}
         self.stage = stage
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, image_id) -> bool:
-        return int(image_id) in self.entries
-
-    def get(self, image_id) -> np.ndarray:
-        key = int(image_id)
-        if key not in self.entries:
-            raise StateError(f"image id {key} missing from stage-{self.stage} pseudo store")
-        return self.entries[key]
+        return len(self.rows)
 
     def get_batch(self, ids) -> np.ndarray:
-        return np.stack([self.get(i) for i in np.asarray(ids).ravel()])
-
-    def save(self, outdir) -> None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        index = {"stage": self.stage, "entries": {}}
-        for image_id, p0 in sorted(self.entries.items()):
-            fname = f"p0_{image_id:08d}.npy"
-            np.save(outdir / fname, p0.astype(np.float32))
-            index["entries"][str(image_id)] = fname
-        (outdir / "index.json").write_text(json.dumps(index, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, indir) -> "StagePseudoStore":
-        indir = Path(indir)
-        index_path = indir / "index.json"
-        if not index_path.exists():
-            raise StateError(f"no pseudo store index at {index_path}")
-        index = json.loads(index_path.read_text())
-        entries = {int(k): np.load(indir / v) for k, v in index["entries"].items()}
-        return cls(entries, index["stage"])
+        try:
+            rows = [self.rows[int(i)] for i in np.asarray(ids).ravel()]
+        except KeyError as exc:
+            raise StateError(f"image id {exc.args[0]} missing from "
+                             f"stage-{self.stage} pseudo store") from None
+        return self.p0[rows]
 
 
 def teacher_predict(teacher, x: np.ndarray, policy, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -135,17 +114,6 @@ def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, i
     return OneHotMap(onehot, valid), fallback
 
 
-@dataclass
-class RectifyDetail:
-    """Per-image intermediates from mix_rectify, reused by the trainer."""
-
-    feats1: np.ndarray
-    feats2: np.ndarray
-    y1: OneHotMap
-    y2: OneHotMap
-    fallback_pixels: int
-
-
 def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
                      policy, tau: float, rng,
                      confidence_source: str = "prototype") -> tuple[OneHotMap, np.ndarray, int]:
@@ -164,18 +132,3 @@ def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
         raise InputError(f"unknown confidence source {confidence_source!r}")
     labels, fallback = denoise(p0, omega, tau)
     return labels, feats, fallback
-
-
-def mix_rectify(teacher, x1: np.ndarray, x2: np.ndarray, ids1, ids2, m, bank,
-                store: StagePseudoStore, policy, tau: float, rng,
-                confidence_source: str = "prototype") -> tuple[OneHotMap, RectifyDetail]:
-    """Rectify two unlabeled batches separately, then CutMix the label maps."""
-    y1, feats1, fb1 = rectified_labels(teacher, x1, ids1, bank, store, policy,
-                                       tau, rng, confidence_source)
-    y2, feats2, fb2 = rectified_labels(teacher, x2, ids2, bank, store, policy,
-                                       tau, rng, confidence_source)
-    mixed = OneHotMap(
-        mix_label_maps(y1.onehot, y2.onehot, m),
-        mix_valid_masks(y1.valid, y2.valid, m),
-    )
-    return mixed, RectifyDetail(feats1, feats2, y1, y2, fb1 + fb2)

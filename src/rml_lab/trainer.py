@@ -1,11 +1,22 @@
 """Supervised baseline training and the robust mutual learning loop.
 
 One iteration follows the reference procedure: a labeled step for both
-students, an unlabeled step (CutMix pair, per-learner rectified pseudo
-labels, one SGD step per student on the peer+self terms), then batch
-prototypes, bank momentum updates and the teacher EMA updates, in that
-order. Stage boundaries recompute the frozen soft pseudo labels from the
-mean teachers and restart the loop on them.
+students, an unlabeled step (CutMix pair, per-learner pseudo labels, one
+SGD step per student on the peer+self terms), then batch prototypes, bank
+momentum updates and the teacher EMA updates, in that order. Stage
+boundaries recompute the frozen soft pseudo labels from the mean teachers
+and restart the loop on them.
+
+The variants differ only in where a learner's pseudo labels come from and
+which loss terms apply. :func:`pseudo_labels` is the one source, used by
+both training and the pseudo-accuracy metric:
+
+- ``rml``: the stage store's soft labels, rectified with the learner's mean
+  teacher (prototype or teacher-softmax confidence);
+- ``iml`` and ``iml_noise``: the learner's mean teacher's prediction,
+  hardened;
+- ``direct_ml``: the learner's own student's eval-mode prediction,
+  hardened; it trains on its peer's labels only.
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ from .netcore import (
     build_model,
     ema_params,
     loss_and_gradients,
-    multi_loss_and_gradients,
     save_checkpoint,
     sgd_step,
     softmax,
@@ -43,12 +53,15 @@ from .rectify import (
     OneHotMap,
     StagePseudoStore,
     harden_with_threshold,
-    mix_rectify,
     rectified_labels,
     teacher_predict,
 )
 
 VARIANTS = ("supervised", "direct_ml", "iml", "iml_noise", "rml")
+
+
+def _pair(value) -> tuple:
+    return tuple(value) if isinstance(value, (list, tuple)) else (value, value)
 
 
 @dataclass
@@ -86,38 +99,36 @@ class RmlConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.arch_pair, (list, tuple)):
-            self.arch_pair = tuple(self.arch_pair)
-        else:
-            self.arch_pair = (self.arch_pair, self.arch_pair)
-        if isinstance(self.feature_dim, (list, tuple)):
-            self.feature_dim = tuple(self.feature_dim)
-        else:
-            self.feature_dim = (self.feature_dim, self.feature_dim)
+        # one value serves both learners
+        self.arch_pair = _pair(self.arch_pair)
+        self.feature_dim = _pair(self.feature_dim)
 
     def validate(self) -> "RmlConfig":
         if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}", "variant")
         if len(self.arch_pair) != 2:
-            raise ConfigError(f"arch_pair needs exactly 2 entries, got {self.arch_pair}")
+            raise ConfigError(f"arch_pair needs exactly 2 entries, got {self.arch_pair}",
+                              "arch_pair")
         if len(self.feature_dim) != 2 or min(self.feature_dim) < 1:
-            raise ConfigError(f"feature_dim must be 1 or 2 positive ints, got {self.feature_dim}")
+            raise ConfigError(f"feature_dim must be 1 or 2 positive ints, got {self.feature_dim}",
+                              "feature_dim")
         for name, lo, hi in (("tau", 0.0, 0.999999), ("alpha", 0.0, 1.0),
                              ("lam", 0.0, 0.999999), ("labeled_fraction", 1e-9, 1.0),
                              ("dropout_rate", 0.0, 1.0), ("sd_survival", 0.0, 1.0)):
             v = getattr(self, name)
             if not lo <= v <= hi:
-                raise ConfigError(f"{name} out of range [{lo},{hi}]: {v}")
+                raise ConfigError(f"{name} out of range [{lo},{hi}]: {v}", name)
         for name in ("iterations", "stages", "batch_labeled", "batch_unlabeled",
                      "baseline_iterations", "eval_interval"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1", name)
         if self.lr < 0:
-            raise ConfigError(f"lr must be nonnegative: {self.lr}")
+            raise ConfigError(f"lr must be nonnegative: {self.lr}", "lr")
         if self.iterations % self.eval_interval:
-            raise ConfigError("iterations must be a multiple of eval_interval")
+            raise ConfigError("iterations must be a multiple of eval_interval", "eval_interval")
         if self.confidence_source not in ("prototype", "teacher_softmax"):
-            raise ConfigError(f"unknown confidence_source {self.confidence_source!r}")
+            raise ConfigError(f"unknown confidence_source {self.confidence_source!r}",
+                              "confidence_source")
         return self
 
     def policy(self) -> AugmentPolicy:
@@ -258,7 +269,7 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
     for it in range(cfg.baseline_iterations):
         idx = _sample(rng_data, len(labeled), cfg.batch_labeled)
         x = photometric(labeled.images[idx], policy, "weak", rng_aug)
-        loss, grads = loss_and_gradients(model, x, targets[idx], rng=rng_noise)
+        (loss,), grads = loss_and_gradients(model, x, [(targets[idx], None)], rng=rng_noise)
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite baseline loss at iteration {it}")
         lr = poly_lr(cfg.lr, it, cfg.baseline_iterations, cfg.lr_power)
@@ -294,6 +305,7 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
     """
     if isinstance(baselines, NetModel):
         baselines = (baselines, baselines)
+    shared = baselines[0] is baselines[1]
     students, teachers = [], []
     for base in baselines:
         s = base.clone()
@@ -305,26 +317,20 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
     banks = [None, None]
     if cfg.needs_rectification and cfg.confidence_source == "prototype":
         banks[0] = init_bank(baselines[0], labeled, unlabeled, k=k, lam=cfg.lam)
-        banks[1] = (banks[0].copy() if baselines[1] is baselines[0] else
+        banks[1] = (banks[0].copy() if shared else
                     init_bank(baselines[1], labeled, unlabeled, k=k, lam=cfg.lam))
     quad = ModelQuad(students, teachers, banks)
     stores = (None, None)
     if cfg.needs_rectification and len(unlabeled) > 0:
-        if baselines[0] is baselines[1]:
-            p0 = soft_predictions(baselines[0], unlabeled.images)
-            shared = StagePseudoStore(dict(zip(unlabeled.ids.tolist(), p0)), stage)
-            stores = (shared, shared)
-        elif stage <= 1:
-            per = []
-            for base in baselines:
-                p0 = soft_predictions(base, unlabeled.images)
-                per.append(StagePseudoStore(dict(zip(unlabeled.ids.tolist(), p0)), stage))
-            stores = tuple(per)
-        else:
-            p0 = 0.5 * (soft_predictions(baselines[0], unlabeled.images)
-                        + soft_predictions(baselines[1], unlabeled.images))
-            shared = StagePseudoStore(dict(zip(unlabeled.ids.tolist(), p0)), stage)
-            stores = (shared, shared)
+        p0 = [soft_predictions(b, unlabeled.images)
+              for b in (baselines[:1] if shared else baselines)]
+        if stage > 1 and not shared:
+            # average in place: no third (N,H,W,K) array at the peak
+            p0[0] += p0[1]
+            p0[0] *= 0.5
+            del p0[1]
+        per = [StagePseudoStore(unlabeled.ids, p, stage) for p in p0]
+        stores = (per[0], per[-1])
     return quad, stores
 
 
@@ -341,7 +347,7 @@ def labeled_step(quad: ModelQuad, images: np.ndarray, labels: np.ndarray,
     policy = cfg.policy()
     for i, student in enumerate(quad.students):
         x = photometric(images, policy, "weak", rngs[i])
-        loss, grads = loss_and_gradients(student, x, targets, rng=rngs[i])
+        (loss,), grads = loss_and_gradients(student, x, [(targets, None)], rng=rngs[i])
         if not np.isfinite(loss):
             raise TrainingError("non-finite labeled loss")
         sgd_step(student, grads, lr)
@@ -349,45 +355,34 @@ def labeled_step(quad: ModelQuad, images: np.ndarray, labels: np.ndarray,
     return losses
 
 
-def _student_predict(student: NetModel, x, policy, rng):
-    """Pseudo labels from a student itself (direct mutual learning)."""
-    was = student.mode
-    student.eval()
-    try:
-        return teacher_predict(student, x, policy, rng)
-    finally:
-        student.mode = was
+def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlConfig,
+                  policy, rng) -> tuple[OneHotMap, np.ndarray, int]:
+    """Learner ``i``'s pseudo labels for one unlabeled batch, from the source
+    its variant names (see the module docstring).
 
-
-def _pseudo_for_learner(quad, i, x1, x2, ids1, ids2, masks, stores, cfg, policy, rng):
-    """Per-learner mixed pseudo labels plus features for the bank update.
-
-    Returns ``(mixed, feats1, feats2, y1, y2, fallback_pixels)``.
+    Returns ``(labels, feats, fallback_pixels)``, with the features of the
+    model that made the labels.
     """
     if cfg.needs_rectification:
-        if x2 is None:
-            y1, f1, fb = rectified_labels(quad.teachers[i], x1, ids1, quad.banks[i],
-                                          stores[i], policy, cfg.tau, rng,
-                                          cfg.confidence_source)
-            return y1, f1, None, y1, None, fb
-        mixed, detail = mix_rectify(quad.teachers[i], x1, x2, ids1, ids2, masks,
-                                    quad.banks[i], stores[i], policy, cfg.tau, rng,
-                                    cfg.confidence_source)
-        return (mixed, detail.feats1, detail.feats2, detail.y1, detail.y2,
-                detail.fallback_pixels)
-    if cfg.variant in ("iml", "iml_noise"):
-        predict = lambda x: teacher_predict(quad.teachers[i], x, policy, rng)
-    else:  # direct_ml: supervision from the student itself
-        predict = lambda x: _student_predict(quad.students[i], x, policy, rng)
-    f1, p1 = predict(x1)
-    y1 = harden_with_threshold(p1, cfg.tau)
-    if x2 is None:
-        return y1, f1, None, y1, None, 0
-    f2, p2 = predict(x2)
-    y2 = harden_with_threshold(p2, cfg.tau)
-    mixed = OneHotMap(mix_label_maps(y1.onehot, y2.onehot, masks),
-                      mix_valid_masks(y1.valid, y2.valid, masks))
-    return mixed, f1, f2, y1, y2, 0
+        return rectified_labels(quad.teachers[i], x, ids, quad.banks[i], stores[i],
+                                policy, cfg.tau, rng, cfg.confidence_source)
+    model = quad.students[i] if cfg.variant == "direct_ml" else quad.teachers[i]
+    was = model.mode
+    model.eval()
+    try:
+        feats, probs = teacher_predict(model, x, policy, rng)
+    finally:
+        model.mode = was
+    return harden_with_threshold(probs, cfg.tau), feats, 0
+
+
+def _mix_halves(halves: list, masks) -> OneHotMap:
+    """CutMix the label maps of a pair's two halves; one half passes through."""
+    if len(halves) == 1:
+        return halves[0]
+    y1, y2 = halves
+    return OneHotMap(mix_label_maps(y1.onehot, y2.onehot, masks),
+                     mix_valid_masks(y1.valid, y2.valid, masks))
 
 
 def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
@@ -395,48 +390,41 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
     """One mutual-learning step on an unlabeled pair.
 
     ``batch1``/``batch2`` are ``(images, ids)``; ``batch2`` may be ``None``
-    when CutMix is disabled (vector classification tasks). Both learners'
-    pseudo labels and gradients come from pre-step parameters; afterwards
-    batch prototypes update the banks and the teachers take their EMA step.
+    when CutMix is disabled (vector classification tasks). Each learner
+    labels each half with :func:`pseudo_labels`; the halves are mixed with
+    the CutMix masks. Every student trains on its peer's labels, plus its
+    own unless the variant is direct_ml. Both learners' pseudo labels and
+    gradients come from pre-step parameters; afterwards batch prototypes
+    update the banks and the teachers take their EMA step.
     Returns ``(per_student_losses, StepInfo)``.
     """
-    x1, ids1 = batch1
-    x2, ids2 = batch2 if batch2 is not None else (None, None)
+    batches = [batch1] if batch2 is None else [batch1, batch2]
     policy = cfg.policy()
-    h, w = x1.shape[1:3]
-    if x2 is not None:
+    x1 = batch1[0]
+    if batch2 is not None:
+        h, w = x1.shape[1:3]
         mask_stack = np.stack([sample_rect_mask(h, w, rngs["mask"]).m
                                for _ in range(len(x1))])
-        x_mix = mix_images(x1, x2, mask_stack)
+        x_mix = mix_images(x1, batch2[0], mask_stack)
     else:
         mask_stack = None
         x_mix = np.asarray(x1, dtype=np.float64)
 
-    labels, feats1, feats2, y1, y2 = [], [], [], [], []
-    fallback = 0
-    for i in range(2):
-        mixed, f1, f2, a, b, fb = _pseudo_for_learner(
-            quad, i, x1, x2, ids1, ids2, mask_stack, stores, cfg, policy,
-            rngs["teacher"][i])
-        labels.append(mixed)
-        feats1.append(f1)
-        feats2.append(f2)
-        y1.append(a)
-        y2.append(b)
-        fallback += fb
+    # per learner, one (labels, feats, fallback) per half
+    halves = [[pseudo_labels(quad, i, x, ids, stores, cfg, policy, rngs["teacher"][i])
+               for x, ids in batches] for i in range(2)]
+    labels = [_mix_halves([y for y, _, _ in hs], mask_stack) for hs in halves]
 
     losses, grads_list, info_terms, info_valid = [], [], [], []
     for i, student in enumerate(quad.students):
         xs = (photometric(x_mix, policy, "strong", rngs["student"][i])
               if cfg.noise_input else x_mix.copy())
-        peer = labels[1 - i]
-        if cfg.variant == "direct_ml":
-            terms = [(peer.onehot, peer.valid)]
-        else:
-            own = labels[i]
-            terms = [(peer.onehot, peer.valid), (own.onehot, own.valid)]
-        term_losses, grads = multi_loss_and_gradients(student, xs, terms,
-                                                      rng=rngs["student"][i])
+        peer, own = labels[1 - i], labels[i]
+        terms = [(peer.onehot, peer.valid)]
+        if cfg.variant != "direct_ml":
+            terms.append((own.onehot, own.valid))
+        term_losses, grads = loss_and_gradients(student, xs, terms,
+                                                rng=rngs["student"][i])
         total = float(sum(term_losses))
         if not np.isfinite(total):
             raise TrainingError("non-finite unlabeled loss")
@@ -449,11 +437,8 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
 
     if cfg.needs_rectification and cfg.confidence_source == "prototype":
         for i in range(2):
-            fparts = [feats1[i].reshape(-1, feats1[i].shape[-1])]
-            aparts = [y1[i].labels.ravel()]
-            if feats2[i] is not None:
-                fparts.append(feats2[i].reshape(-1, feats2[i].shape[-1]))
-                aparts.append(y2[i].labels.ravel())
+            fparts = [f.reshape(-1, f.shape[-1]) for _, f, _ in halves[i]]
+            aparts = [y.labels.ravel() for y, _, _ in halves[i]]
             if labeled_batch is not None:
                 lx, ll = labeled_batch
                 lf, _ = teacher_predict(quad.teachers[i], lx, policy,
@@ -466,6 +451,7 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
 
     for student, teacher in zip(quad.students, quad.teachers):
         ema_params(teacher, student, cfg.alpha)
+    fallback = sum(fb for hs in halves for _, _, fb in hs)
     return losses, StepInfo(info_terms, info_valid, fallback)
 
 
@@ -476,22 +462,9 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
 
 def _measure_pseudo_acc(quad, stores, ds_sub, cfg, k, rng):
     """Pseudo-label accuracy of each learner on a held-out unlabeled subset."""
-    policy = cfg.policy()
-    accs = []
-    for i in range(2):
-        if cfg.needs_rectification:
-            out, _, _ = rectified_labels(quad.teachers[i], ds_sub.images, ds_sub.ids,
-                                         quad.banks[i], stores[i], policy, cfg.tau,
-                                         rng, cfg.confidence_source)
-        elif cfg.variant == "direct_ml":
-            _, probs = _student_predict(quad.students[i], ds_sub.images, policy, rng)
-            out = harden_with_threshold(probs, cfg.tau)
-        else:
-            _, probs = teacher_predict(quad.teachers[i], ds_sub.images, policy, rng)
-            out = harden_with_threshold(probs, cfg.tau)
-        acc = pseudo_accuracy(out.onehot, ds_sub.labels, out.valid)
-        accs.append(acc if acc is None else float(acc))
-    return accs
+    labels = [pseudo_labels(quad, i, ds_sub.images, ds_sub.ids, stores, cfg,
+                            cfg.policy(), rng)[0] for i in range(2)]
+    return [pseudo_accuracy(y.onehot, ds_sub.labels, y.valid) for y in labels]
 
 
 def _pair_tv(models, eval_set: Dataset, k: int, limit: int):
@@ -559,22 +532,18 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
         hetero = (cfg.arch_pair[0] != cfg.arch_pair[1]
                   or cfg.feature_dim[0] != cfg.feature_dim[1])
         if baselines is None:
-            if cfg.init_from_baseline:
-                if hetero:
-                    baselines = tuple(
-                        train_baseline(labeled, cfg, k, arch_index=i, seed=cfg.seed + i)
-                        for i in range(2))
-                else:
-                    base = train_baseline(labeled, cfg, k)
-                    baselines = (base, base)
-            else:
+            if not cfg.init_from_baseline:
                 # mutual learning from scratch with distinct initializations
                 baselines = tuple(
                     _build_learner(cfg, i, k, labeled.images, labeled.labels,
                                    seed=cfg.seed + 101 * (i + 1))
                     for i in range(2))
-        elif isinstance(baselines, NetModel):
-            baselines = (baselines, baselines)
+            elif hetero:
+                baselines = tuple(
+                    train_baseline(labeled, cfg, k, arch_index=i, seed=cfg.seed + i)
+                    for i in range(2))
+            else:
+                baselines = train_baseline(labeled, cfg, k)
 
         streams = np.random.SeedSequence([cfg.seed, 0x51A6E]).spawn(8)
         rng_data = np.random.default_rng(streams[0])
@@ -592,17 +561,13 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
 
         summary: dict = {"variant": cfg.variant, "seed": cfg.seed, "stages": [],
                          "initial_pseudo_acc": None}
-        quad = None
-        stage_baselines = baselines
         for stage in range(1, cfg.stages + 1):
-            quad, stores = init_stage(stage_baselines, labeled, unlabeled, cfg, k,
-                                      stage=stage)
+            quad, stores = init_stage(baselines, labeled, unlabeled, cfg, k, stage=stage)
             if stage == 1 and stores[0] is not None and pseudo_sub is not None:
                 init_hard = harden_with_threshold(
                     stores[0].get_batch(pseudo_sub.ids), cfg.tau)
-                acc0 = pseudo_accuracy(init_hard.onehot, pseudo_sub.labels,
-                                       init_hard.valid)
-                summary["initial_pseudo_acc"] = None if acc0 is None else float(acc0)
+                summary["initial_pseudo_acc"] = pseudo_accuracy(
+                    init_hard.onehot, pseudo_sub.labels, init_hard.valid)
             for it in range(cfg.iterations):
                 lr = poly_lr(cfg.lr, it, cfg.iterations, cfg.lr_power)
                 li = _sample(rng_data, len(labeled), cfg.batch_labeled)
@@ -611,18 +576,12 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                                         rngs_labeled)
                 losses_u = None
                 if len(unlabeled) > 0:
-                    if cfg.use_cutmix:
-                        ui = _sample(rng_data, len(unlabeled), 2 * cfg.batch_unlabeled)
-                        b1 = (unlabeled.images[ui[:cfg.batch_unlabeled]],
-                              unlabeled.ids[ui[:cfg.batch_unlabeled]])
-                        b2 = (unlabeled.images[ui[cfg.batch_unlabeled:]],
-                              unlabeled.ids[ui[cfg.batch_unlabeled:]])
-                    else:
-                        ui = _sample(rng_data, len(unlabeled), cfg.batch_unlabeled)
-                        b1 = (unlabeled.images[ui], unlabeled.ids[ui])
-                        b2 = None
+                    n_halves = 2 if cfg.use_cutmix else 1
+                    ui = _sample(rng_data, len(unlabeled), n_halves * cfg.batch_unlabeled)
+                    parts = [(unlabeled.images[j], unlabeled.ids[j])
+                             for j in np.split(ui, n_halves)]
                     losses_u, _ = unlabeled_step(
-                        quad, b1, b2, stores, cfg, lr, k,
+                        quad, parts[0], parts[1] if n_halves == 2 else None, stores, cfg, lr, k,
                         {"mask": rng_mask, "student": rngs_student,
                          "teacher": rngs_teacher},
                         labeled_batch=(lab_imgs, lab_labels))
@@ -658,7 +617,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                                     quad.students[i], extra)
                     save_checkpoint(out_path / f"stage{stage}_teacher{i + 1}.ckpt",
                                     quad.teachers[i], extra)
-            stage_baselines = tuple(quad.teachers)
+            baselines = tuple(quad.teachers)
         last = records[-1]
         summary["final_miou"] = float(np.mean(last.miou_teachers))
         summary["final_miou_students"] = last.miou_students

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from rml_lab import cli
 from rml_lab.config import config_from_dict, resolved_dump, validate_config
-from rml_lab.errors import ConfigError
+from rml_lab.errors import ConfigError, StateError
 from rml_lab.netcore import build_model, save_checkpoint
 
 
@@ -41,6 +44,34 @@ def test_unknown_field_is_line_referenced(tmp_path):
     path = write_config(tmp_path, {"seed": 1, "taus": 0.3})
     with pytest.raises(ConfigError, match=r"cfg\.json:\d+.*taus"):
         validate_config(path)
+
+
+def test_bad_value_error_names_its_own_line_once(tmp_path, capsys):
+    # "iterations" is a substring of the message; the error must still point
+    # at line 4, where baseline_iterations is, and name the file once
+    path = tmp_path / "cfg.json"
+    path.write_text('{\n  "iterations": 10,\n  "eval_interval": 5,\n'
+                    '  "baseline_iterations": 0\n}\n')
+    rc = cli.main(["train", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error:config: {path}:4: baseline_iterations must be >= 1"]
+
+
+def test_manifest_bad_value_names_its_resolved_config_line(tmp_path, capsys):
+    # "dataset" is also a key of dataset_meta, above resolved_config
+    cfg = json.loads(resolved_dump(validate_config(write_config(tmp_path, {}))))
+    cfg["dataset"] = "cifar"
+    manifest = {"dataset_meta": {"dataset": "shapes"}, "resolved_config": cfg}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), start=1)
+                if '"dataset": "cifar"' in text)
+    rc = cli.main(["validate", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error:config: {path}:{line}: dataset must be one of")
 
 
 def test_resolved_dump_is_fixpoint(tmp_path):
@@ -135,6 +166,27 @@ def test_lock_prevents_concurrent_runs(tmp_path, capsys):
     assert "error:state:" in capsys.readouterr().err
 
 
+def test_lock_holds_the_run_pid_and_is_released(tmp_path):
+    with cli.OutputLock(tmp_path / "out") as lock:
+        assert lock.path.read_text() == f"{os.getpid()}\n"
+        with pytest.raises(StateError):
+            cli.OutputLock(tmp_path / "out").__enter__()
+    assert not lock.path.exists()
+
+
+def test_stale_lock_is_taken_over(tmp_path):
+    data = gen_shapes(tmp_path, seed=6)
+    out = tmp_path / "stale"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # exited and reaped: its PID names no live process
+    (out / ".lock").write_text(f"{child.pid}\n")
+    cfg_path = write_config(tmp_path, quick_train_blob(data, out))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    assert (out / "manifest.json").exists()
+    assert not (out / ".lock").exists()
+
+
 def test_eval_checkpoint(tmp_path, capsys):
     data = gen_shapes(tmp_path, seed=7)
     out = tmp_path / "run"
@@ -206,6 +258,14 @@ def test_unknown_preset_errors(tmp_path, capsys):
     rc = cli.main(["preset", "nope", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CODES["config"]
     assert "error:config:" in capsys.readouterr().err
+
+
+def test_preset_writes_the_summary_it_prints(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.PRESETS, "tiny", lambda out, data, seed: {"seed": seed})
+    assert cli.main(["preset", "tiny", "--out", str(tmp_path), "--seed", "4"]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed) == {"seed": 4}
+    assert (tmp_path / "preset_summary.json").read_text() == printed
 
 
 def test_malformed_config_json_is_one_config_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ from rml_lab.errors import ConfigError, FormatError, InputError, InternalError
 from rml_lab.netcore import (
     NoiseConfig,
     build_model,
-    cross_entropy,
     ema_params,
     load_checkpoint,
     loss_and_gradients,
@@ -14,6 +13,8 @@ from rml_lab.netcore import (
     sgd_step,
     softmax,
 )
+
+from oracles import cross_entropy
 
 NOISY = NoiseConfig(dropout_rate=0.5, stochastic_depth_survival=0.8, enabled=True)
 
@@ -44,10 +45,10 @@ def fd_gradients(model, x, target, mask, step=1e-4, rng_seed=None):
             orig = w[idx]
             w[idx] = orig + step
             rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-            lp, _ = loss_and_gradients(model, x, target, mask, rng)
+            (lp,), _ = loss_and_gradients(model, x, [(target, mask)], rng)
             w[idx] = orig - step
             rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-            lm, _ = loss_and_gradients(model, x, target, mask, rng)
+            (lm,), _ = loss_and_gradients(model, x, [(target, mask)], rng)
             w[idx] = orig
             g[idx] = (lp - lm) / (2 * step)
             it.iternext()
@@ -262,8 +263,8 @@ def test_all_masked_returns_zero_loss_and_grads():
     m = small_model("mlp")
     x = small_input("mlp")
     t = onehot_target((2, 1, 1), 3)
-    loss, grads = loss_and_gradients(m, x, t, np.zeros((2, 1, 1)))
-    assert loss == 0.0
+    losses, grads = loss_and_gradients(m, x, [(t, np.zeros((2, 1, 1)))])
+    assert losses == [0.0]
     assert all(np.all(g == 0) for g in grads.values())
 
 
@@ -273,9 +274,40 @@ def test_masked_pixels_do_not_contribute():
     t = onehot_target((2, 4, 4), 3)
     mask = np.ones((2, 4, 4))
     mask[1] = 0
-    loss_m, _ = loss_and_gradients(m, x, t, mask)
-    loss_0, _ = loss_and_gradients(m, x[:1], t[:1], mask[:1])
+    (loss_m,), _ = loss_and_gradients(m, x, [(t, mask)])
+    (loss_0,), _ = loss_and_gradients(m, x[:1], [(t[:1], mask[:1])])
     assert loss_m == pytest.approx(loss_0, rel=1e-12)
+
+
+def test_every_term_target_is_checked():
+    # an unnormalized pseudo-label term is refused as the second term too
+    m = small_model("cnn")
+    x = small_input("cnn")
+    t = onehot_target((2, 4, 4), 3)
+    mask = np.ones((2, 4, 4))
+    with pytest.raises(InputError, match="normalized"):
+        loss_and_gradients(m, x, [(t, mask), (1.5 * t, mask)])
+    with pytest.raises(InputError, match="mask shape"):
+        loss_and_gradients(m, x, [(t, mask), (t, mask[:1])])
+    with pytest.raises(InputError, match="target shape"):
+        loss_and_gradients(m, x, [(t, mask), (t[:1], mask)])
+
+
+def test_terms_sum_their_losses_and_gradients():
+    m = small_model("cnn")
+    x = small_input("cnn")
+    rng = np.random.default_rng(2)
+    t1 = onehot_target((2, 4, 4), 3)
+    t2 = np.eye(3)[rng.integers(0, 3, (2, 4, 4))]
+    m1 = (rng.random((2, 4, 4)) < 0.6).astype(np.float64)
+    m2 = (rng.random((2, 4, 4)) < 0.6).astype(np.float64)
+    losses, grads = loss_and_gradients(m, x, [(t1, m1), (t2, m2)])
+    (l1,), g1 = loss_and_gradients(m, x, [(t1, m1)])
+    (l2,), g2 = loss_and_gradients(m, x, [(t2, m2)])
+    assert losses == [l1, l2]
+    for name in m.params:
+        np.testing.assert_allclose(grads[name], g1[name] + g2[name], rtol=1e-12,
+                                   atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +322,7 @@ def test_gradients_match_finite_differences(kind):
     t = onehot_target(x.shape[:1] + m_out_hw(m, x), m.num_classes)
     mask = np.ones(t.shape[:-1])
     mask.flat[0] = 0.0  # exercise masking in the gradient too
-    _, grads = loss_and_gradients(m, x, t, mask)
+    _, grads = loss_and_gradients(m, x, [(t, mask)])
     fd = fd_gradients(m, x, t, mask)
     assert max_rel_error(grads, fd) <= 1e-4
 
@@ -304,7 +336,7 @@ def test_gradients_with_noise_active_match_fd():
     m = small_model("mlp", noise=NOISY)
     x = small_input("mlp")
     t = onehot_target((2, 1, 1), 3)
-    _, grads = loss_and_gradients(m, x, t, rng=np.random.default_rng(9))
+    _, grads = loss_and_gradients(m, x, [(t, None)], rng=np.random.default_rng(9))
     fd = fd_gradients(m, x, t, None, rng_seed=9)
     assert max_rel_error(grads, fd) <= 1e-4
 
@@ -407,7 +439,7 @@ def test_cnn_gradients_bitwise_equal_reference_backward(monkeypatch):
     x = np.random.default_rng(4).random((4, 16, 16, 3))
     t = onehot_target((4, 16, 16), 6)
     mask = (np.random.default_rng(5).random((4, 16, 16)) < 0.7).astype(np.float64)
-    _, grads = loss_and_gradients(m, x, t, mask, rng=np.random.default_rng(7))
+    _, grads = loss_and_gradients(m, x, [(t, mask)], rng=np.random.default_rng(7))
     (cache, dlogits), = seen
     ref = ref_cnn_backward(m, cache, dlogits)
     assert set(grads) == set(ref) == set(m.params)

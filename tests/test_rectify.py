@@ -8,14 +8,13 @@ from rml_lab.errors import StateError
 from rml_lab.netcore import build_model, softmax
 from rml_lab.protobank import new_bank
 from rml_lab.rectify import (
-    OneHotMap,
     StagePseudoStore,
     denoise,
     harden_with_threshold,
-    mix_rectify,
     rectified_labels,
     teacher_predict,
 )
+from rml_lab.trainer import ModelQuad, RmlConfig, _mix_halves, pseudo_labels
 
 POLICY = AugmentPolicy(weak_strength=0.0, strong_strength=1.0)
 
@@ -159,29 +158,28 @@ def test_denoise_monotone_in_omega(seed):
 
 
 # ---------------------------------------------------------------------------
-# store persistence
+# stage store
 # ---------------------------------------------------------------------------
-
-
-def test_store_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    entries = {7: rand_probs(rng, (2, 2, 3)), 9: rand_probs(rng, (2, 2, 3))}
-    store = StagePseudoStore(entries, stage=1)
-    store.save(tmp_path / "store")
-    back = StagePseudoStore.load(tmp_path / "store")
-    assert back.stage == 1
-    assert set(back.entries) == {7, 9}
-    np.testing.assert_allclose(back.get(7), entries[7].astype(np.float32))
 
 
 def test_store_missing_id():
-    store = StagePseudoStore({1: np.full((1, 1, 2), 0.5)}, stage=0)
-    with pytest.raises(StateError):
-        store.get(2)
+    store = StagePseudoStore([1], np.full((1, 1, 1, 2), 0.5), stage=0)
+    np.testing.assert_array_equal(store.get_batch([1]), store.p0)
+    with pytest.raises(StateError, match="image id 2"):
+        store.get_batch([1, 2])
+
+
+def test_store_get_batch_follows_ids():
+    rng = np.random.default_rng(4)
+    p0 = rand_probs(rng, (3, 2, 2, 3))
+    store = StagePseudoStore(np.array([7, 9, 4]), p0, stage=1)
+    assert len(store) == 3
+    np.testing.assert_array_equal(store.get_batch(np.array([4, 7, 4])),
+                                  p0[[2, 0, 2]])
 
 
 # ---------------------------------------------------------------------------
-# mix_rectify
+# rectified CutMix pairs: trainer.pseudo_labels per half, then the trainer's mix
 # ---------------------------------------------------------------------------
 
 
@@ -193,17 +191,26 @@ def build_fixture(seed=0):
     bank.seen[:] = True
     x1 = rng.random((1, 2, 2, 2))
     x2 = rng.random((1, 2, 2, 2))
-    store = StagePseudoStore({0: rand_probs(rng, (2, 2, 2)),
-                              1: rand_probs(rng, (2, 2, 2))}, stage=0)
+    store = StagePseudoStore([0, 1], rand_probs(rng, (2, 2, 2, 2)), stage=0)
     return teacher, bank, store, x1, x2
+
+
+def mix_rectified(teacher, bank, store, x1, x2, ids1, ids2, m, seed=0):
+    """Rectify both halves as learner 0 of an rml pair, then mix them.
+
+    Returns the mixed labels and each half's ``(labels, feats, fallback)``."""
+    quad = ModelQuad([None, None], [teacher, teacher], [bank, bank])
+    rng = np.random.default_rng(seed)
+    halves = [pseudo_labels(quad, 0, x, ids, (store, store), RmlConfig(), POLICY, rng)
+              for x, ids in ((x1, ids1), (x2, ids2))]
+    return _mix_halves([y for y, _, _ in halves], m), halves
 
 
 def test_mix_rectify_full_mask_equals_single_denoise():
     teacher, bank, store, x1, x2 = build_fixture()
-    m = np.ones((2, 2))
-    mixed, detail = mix_rectify(teacher, x1, x2, [0], [1], m, bank, store,
-                                POLICY, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(mixed.onehot, detail.y1.onehot)
+    mixed, halves = mix_rectified(teacher, bank, store, x1, x2, [0], [1],
+                                  np.ones((2, 2)))
+    np.testing.assert_array_equal(mixed.onehot, halves[0][0].onehot)
     solo, _, _ = rectified_labels(teacher, x1, [0], bank, store, POLICY, 0.0,
                                   np.random.default_rng(0))
     np.testing.assert_array_equal(mixed.onehot, solo.onehot)
@@ -213,32 +220,30 @@ def test_mix_rectify_same_image_mask_independent():
     teacher, bank, store, x1, _ = build_fixture()
     m1 = sample_rect_mask(2, 2, np.random.default_rng(1))
     m2 = sample_rect_mask(2, 2, np.random.default_rng(5))
-    a, _ = mix_rectify(teacher, x1, x1, [0], [0], m1, bank, store, POLICY, 0.0,
-                       np.random.default_rng(0))
-    b, _ = mix_rectify(teacher, x1, x1, [0], [0], m2, bank, store, POLICY, 0.0,
-                       np.random.default_rng(0))
+    a, _ = mix_rectified(teacher, bank, store, x1, x1, [0], [0], m1)
+    b, _ = mix_rectified(teacher, bank, store, x1, x1, [0], [0], m2)
     np.testing.assert_array_equal(a.onehot, b.onehot)
 
 
 def test_mix_rectify_composition_oracle():
     teacher, bank, store, x1, x2 = build_fixture(seed=2)
     cm = sample_rect_mask(2, 2, np.random.default_rng(2))
-    mixed, detail = mix_rectify(teacher, x1, x2, [0], [1], cm, bank, store,
-                                POLICY, 0.0, np.random.default_rng(0))
-    by_hand = mix_label_maps(detail.y1.onehot, detail.y2.onehot, cm)
+    mixed, ((y1, _, _), (y2, _, _)) = mix_rectified(teacher, bank, store, x1, x2,
+                                                    [0], [1], cm)
+    by_hand = mix_label_maps(y1.onehot, y2.onehot, cm)
     np.testing.assert_array_equal(mixed.onehot, by_hand)
     # label equals the side the mask picked, pixel by pixel
     for r in range(2):
         for c in range(2):
-            src = detail.y1 if cm.m[r, c] == 1 else detail.y2
+            src = y1 if cm.m[r, c] == 1 else y2
             assert mixed.labels[0, r, c] == src.labels[0, r, c]
+            assert mixed.valid[0, r, c] == src.valid[0, r, c]
 
 
 def test_mix_rectify_missing_store_entry():
     teacher, bank, store, x1, x2 = build_fixture()
     with pytest.raises(StateError):
-        mix_rectify(teacher, x1, x2, [0], [42], np.ones((2, 2)), bank, store,
-                    POLICY, 0.0, np.random.default_rng(0))
+        mix_rectified(teacher, bank, store, x1, x2, [0], [42], np.ones((2, 2)))
 
 
 def test_teacher_softmax_confidence_path():

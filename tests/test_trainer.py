@@ -1,12 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
-from rml_lab.augment import mix_images
+from rml_lab.augment import mix_images, photometric
 from rml_lab.data import Dataset, generate_shapes_dataset, make_split
 from rml_lab import trainer
 from rml_lab.errors import ConfigError
-from rml_lab.metrics import tv_distance
-from rml_lab.netcore import cross_entropy, softmax
+from rml_lab.metrics import pseudo_accuracy, tv_distance
+from rml_lab.netcore import softmax
 from rml_lab.protobank import init_bank
 from rml_lab.rectify import harden_with_threshold
 from rml_lab.trainer import (
@@ -17,9 +19,12 @@ from rml_lab.trainer import (
     soft_predictions,
     labeled_step,
     run_rml,
+    pseudo_labels,
     train_baseline,
     unlabeled_step,
 )
+
+from oracles import cross_entropy
 
 K = 4
 
@@ -116,9 +121,10 @@ def test_init_stage_contracts(shapes_data):
         for key in base.params:
             np.testing.assert_array_equal(model.params[key], base.params[key])
     assert quad.teachers[0].mode == "eval" and quad.students[0].mode == "train"
-    # store covers every unlabeled id exactly once
-    assert len(stores[0]) == len(unlabeled)
-    assert all(int(i) in stores[0] for i in unlabeled.ids)
+    # store covers every unlabeled id exactly once, with the baseline's labels
+    assert len(stores[0]) == len(unlabeled) and stores[1] is stores[0]
+    np.testing.assert_array_equal(stores[0].get_batch(unlabeled.ids),
+                                  soft_predictions(base, unlabeled.images))
     # banks identical bitwise at init, equal to the baseline's own, not shared
     fresh = init_bank(base, labeled, unlabeled, k=K, lam=cfg.lam)
     for bank in quad.banks:
@@ -222,17 +228,43 @@ def test_rml_with_uniform_confidence_equals_iml_labels(shapes_data):
         bank.eta[:] = bank.eta[0]
         bank.seen[:] = True
     b1, b2 = unlabeled_batches(unlabeled)
-    from rml_lab.trainer import _pseudo_for_learner
     masks = np.ones((len(b1[0]),) + unlabeled.images.shape[1:3])
-    mixed_rml, *_ = _pseudo_for_learner(quad, 0, b1[0], b2[0], b1[1], b2[1],
-                                        masks, stores, cfg_rml, cfg_rml.policy(),
-                                        np.random.default_rng(0))
+
+    def mixed(quad, stores, cfg):
+        rng = np.random.default_rng(0)
+        halves = [pseudo_labels(quad, 0, x, ids, stores, cfg, cfg.policy(), rng)[0]
+                  for x, ids in (b1, b2)]
+        return trainer._mix_halves(halves, masks)
+
     cfg_iml = tiny_cfg(variant="iml", weak_strength=0.0, noise_model=False)
     quad_iml, stores_iml = init_stage(base, labeled, unlabeled, cfg_iml, k=K)
-    mixed_iml, *_ = _pseudo_for_learner(quad_iml, 0, b1[0], b2[0], b1[1], b2[1],
-                                        masks, stores_iml, cfg_iml, cfg_iml.policy(),
-                                        np.random.default_rng(0))
-    np.testing.assert_array_equal(mixed_rml.labels, mixed_iml.labels)
+    np.testing.assert_array_equal(mixed(quad, stores, cfg_rml).labels,
+                                  mixed(quad_iml, stores_iml, cfg_iml).labels)
+
+
+@pytest.mark.parametrize("variant", ["rml", "iml", "direct_ml"])
+def test_pseudo_acc_scores_the_training_labels(shapes_data, variant):
+    labeled, unlabeled, _ = shapes_data
+    cfg = tiny_cfg(variant=variant, tau=0.4)
+    base = train_baseline(labeled, cfg, k=K)
+    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
+    # move the students off their teachers, so the two label sources differ
+    labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.5, k=K,
+                 rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+    sub = Dataset(unlabeled.images[:8], unlabeled.labels[:8], unlabeled.ids[:8])
+    accs = trainer._measure_pseudo_acc(quad, stores, sub, cfg, K,
+                                       np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for i in range(2):
+        replay = copy.deepcopy(rng)
+        y, feats, _ = pseudo_labels(quad, i, sub.images, sub.ids, stores, cfg,
+                                    cfg.policy(), rng)
+        assert accs[i] == pseudo_accuracy(y.onehot, sub.labels, y.valid)
+        # the labels come from the variant's model, on weakly augmented input
+        source = quad.students[i] if variant == "direct_ml" else quad.teachers[i]
+        xw = photometric(sub.images, cfg.policy(), "weak", replay)
+        np.testing.assert_array_equal(feats, source.clone().eval().forward(xw)[0])
+    assert [s.mode for s in quad.students] == ["train", "train"]
 
 
 def test_teacher_update_is_exactly_ema_of_post_step_student(shapes_data):
