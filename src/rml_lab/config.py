@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,22 +42,36 @@ class ExperimentConfig:
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(RmlConfig))
 _TOP_FIELDS = ("dataset", "data_dir", "out_dir", "preset")
+# the declared type of every field a config file may set
+_FIELD_TYPES = {**typing.get_type_hints(RmlConfig), **typing.get_type_hints(ExperimentConfig)}
+
+
+def _fits(value, tp) -> bool:
+    """Whether a JSON value has the declared type ``tp``. Bools are not
+    numbers, ints are floats, and a pair field takes one value or a list."""
+    if typing.get_origin(tp) is tuple:
+        return all(_fits(v, typing.get_args(tp)[0])
+                   for v in (value if isinstance(value, list) else [value]))
+    kinds = typing.get_args(tp) or (tp,)
+    if isinstance(value, bool):
+        return bool in kinds
+    return any(isinstance(value, (int, float) if t is float else t) for t in kinds)
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
-    """Build a validated config from a plain dict; unknown keys are errors."""
+    """Build a validated config from a plain dict; unknown keys and values
+    of the wrong JSON type are errors."""
     if not isinstance(blob, dict):
         raise ConfigError("expected a JSON object")
     unknown = sorted(set(blob) - set(_TOP_FIELDS) - set(_TRAIN_FIELDS))
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown}", unknown[0])
+    for name, value in blob.items():
+        if not _fits(value, _FIELD_TYPES[name]):
+            raise ConfigError(f"{name} has the wrong JSON type: {json.dumps(value)}", name)
     top = {k: blob[k] for k in _TOP_FIELDS if k in blob}
     train_kw = {k: blob[k] for k in _TRAIN_FIELDS if k in blob}
-    try:
-        cfg = ExperimentConfig(train=RmlConfig(**train_kw), **top)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return ExperimentConfig(train=RmlConfig(**train_kw), **top).validate()
 
 
 def _line_of(text: str, field: str, after: int = 0) -> int | None:

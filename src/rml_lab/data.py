@@ -310,19 +310,6 @@ def save_split(datadir, split: DatasetSplit) -> Path:
     return path
 
 
-def load_split(datadir) -> DatasetSplit:
-    path = Path(datadir) / "split.json"
-    if not path.exists():
-        raise FormatError(f"no split.json in {datadir}")
-    blob = json.loads(path.read_text())
-    return DatasetSplit(
-        np.asarray(blob["labeled"], dtype=np.int64),
-        np.asarray(blob["unlabeled"], dtype=np.int64),
-        np.asarray(blob["eval"], dtype=np.int64),
-        blob["fraction"], blob["seed"],
-    )
-
-
 def ingest_mnist_idx(mnist_dir) -> tuple[Dataset, Dataset]:
     """Build train/eval datasets from real MNIST IDX files if present."""
     mnist_dir = Path(mnist_dir)

@@ -6,6 +6,11 @@ stochastic depth, plain SGD and EMA parameter updates, and a little-endian
 binary checkpoint format. Everything runs in float64 on numpy; there is no
 general autodiff.
 
+A model is its :class:`ArchSpec`, K, C, float64 params and
+:class:`NoiseConfig`; the noise is part of the evaluated model, since an
+eval-mode forward scales each residual branch by its stochastic-depth
+survival. A checkpoint stores all of it (see :func:`load_checkpoint`).
+
 All inputs are ``(N, H, W, Cin)`` arrays; every architecture returns a
 feature map ``(N, H, W, C)`` and logits ``(N, H, W, K)`` at the same
 resolution (classification tasks use ``H = W = 1`` with the image flattened
@@ -43,6 +48,7 @@ bitwise equal to the im2col/col2im reference in tests/test_netcore.py.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -53,84 +59,46 @@ from .errors import ConfigError, FormatError, InputError, InternalError, Trainin
 
 ARCH_KINDS = ("mlp", "cnn", "attn")
 
-CHECKPOINT_MAGIC = b"RMLCKPT1"
+CHECKPOINT_MAGIC = b"RMLCKPT2"
 
 EVAL_CHUNK_PIXELS = 4096    # pixels per eval-mode forward chunk (16 images of 16x16)
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Noise injection switches for a model.
+    """Noise injection for a model; ``NoiseConfig()`` is no noise.
 
     Dropout acts on the last hidden layer only; stochastic depth acts on
-    residual blocks only. With ``enabled=False`` (or in eval mode) forward
-    passes are deterministic.
+    residual blocks only. Eval-mode forwards draw no noise: dropout is the
+    identity and each residual branch is scaled by its survival.
     """
 
     dropout_rate: float = 0.0
     stochastic_depth_survival: float = 1.0
-    enabled: bool = True
 
     def validate(self) -> None:
-        if not 0.0 <= self.dropout_rate <= 1.0:
-            raise ConfigError(f"dropout_rate out of [0,1]: {self.dropout_rate}")
-        if not 0.0 <= self.stochastic_depth_survival <= 1.0:
-            raise ConfigError(
-                "stochastic_depth_survival out of [0,1]: "
-                f"{self.stochastic_depth_survival}"
-            )
-
-
-NOISE_OFF = NoiseConfig(enabled=False)
+        for name, value in vars(self).items():
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} out of [0,1]: {value}")
 
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Resolved architecture descriptor."""
+    """Resolved architecture: one of ``ARCH_KINDS`` and its integer sizes."""
 
     kind: str
-    in_channels: int = 3
-    hidden: int = 64
-    patch: int = 2
+    in_channels: int
+    hidden: int
+    patch: int
+
+    def __post_init__(self):
+        if self.kind not in ARCH_KINDS:
+            raise ConfigError(f"unknown architecture {self.kind!r}, expected one of {ARCH_KINDS}")
+        if self.in_channels < 1 or self.hidden < 1 or self.patch < 1:
+            raise ConfigError(f"architecture sizes must be positive: {self}")
 
     def descriptor(self) -> str:
-        return (
-            f"{self.kind}:in={self.in_channels}"
-            f":hidden={self.hidden}:patch={self.patch}"
-        )
-
-
-def parse_arch(arch, in_channels: int = 3, hidden: int = 64, patch: int = 2) -> ArchSpec:
-    """Parse an architecture descriptor.
-
-    Accepts an ``ArchSpec``, a bare kind (``"mlp"``) or the canonical form
-    ``"cnn:in=3:hidden=64:patch=2"`` emitted by :meth:`ArchSpec.descriptor`.
-    """
-    if isinstance(arch, ArchSpec):
-        spec = arch
-    elif isinstance(arch, str):
-        parts = arch.split(":")
-        kind = parts[0]
-        fields = {"in_channels": in_channels, "hidden": hidden, "patch": patch}
-        keymap = {"in": "in_channels", "hidden": "hidden", "patch": "patch"}
-        for part in parts[1:]:
-            if "=" not in part:
-                raise ConfigError(f"bad architecture descriptor field: {part!r}")
-            key, _, value = part.partition("=")
-            if key not in keymap:
-                raise ConfigError(f"unknown architecture descriptor field: {key!r}")
-            try:
-                fields[keymap[key]] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad integer in descriptor: {part!r}") from exc
-        spec = ArchSpec(kind=kind, **fields)
-    else:
-        raise ConfigError(f"invalid architecture descriptor: {arch!r}")
-    if spec.kind not in ARCH_KINDS:
-        raise ConfigError(f"unknown architecture {spec.kind!r}, expected one of {ARCH_KINDS}")
-    if spec.in_channels < 1 or spec.hidden < 1 or spec.patch < 1:
-        raise ConfigError(f"architecture sizes must be positive: {spec}")
-    return spec
+        return f"{self.kind}:in={self.in_channels}:hidden={self.hidden}:patch={self.patch}"
 
 
 class NetModel:
@@ -189,20 +157,20 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def build_model(arch, K: int, C: int, noise: NoiseConfig = NOISE_OFF, seed: int = 0,
+def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), seed: int = 0,
                 in_channels: int = 3, hidden: int = 64, patch: int = 2) -> NetModel:
-    """Build an initialized model in train mode.
+    """Build an initialized model of architecture ``kind`` in train mode.
 
     Initialization is Glorot uniform (``±sqrt(6/(fan_in+fan_out))``) drawn
     from ``np.random.default_rng(seed)`` in a fixed parameter order, so two
-    builds from the same descriptor and seed are parameter-identical.
+    builds from the same arguments are parameter-identical.
     """
     if K < 2:
         raise ConfigError(f"need at least 2 classes, got K={K}")
     if C < 1:
         raise ConfigError(f"feature dim must be positive, got C={C}")
     noise.validate()
-    spec = parse_arch(arch, in_channels=in_channels, hidden=hidden, patch=patch)
+    spec = ArchSpec(kind, in_channels, hidden, patch)
     rng = np.random.default_rng(seed)
     ci, h, p = spec.in_channels, spec.hidden, spec.patch
     params: dict[str, np.ndarray] = {}
@@ -258,14 +226,10 @@ def _check_input(m: NetModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _noise_active(m: NetModel) -> bool:
-    return m.mode == "train" and m.noise.enabled
-
-
 def _dropout(m: NetModel, x: np.ndarray, rng):
     """Inverted dropout on the last hidden layer. Returns (y, mask_or_None)."""
     rate = m.noise.dropout_rate
-    if not _noise_active(m) or rate == 0.0:
+    if m.mode != "train" or rate == 0.0:
         return x, None
     if rate >= 1.0:
         return np.zeros_like(x), np.zeros_like(x)
@@ -279,7 +243,7 @@ def _dropout(m: NetModel, x: np.ndarray, rng):
 def _sd_gate(m: NetModel, n: int, rng):
     """Per-sample stochastic-depth gate for one residual block, shape (n,1,1,1)."""
     p = m.noise.stochastic_depth_survival
-    if not m.noise.enabled or p >= 1.0:
+    if p >= 1.0:
         return np.ones((n, 1, 1, 1))
     if m.mode == "eval":
         return np.full((n, 1, 1, 1), p)
@@ -567,16 +531,19 @@ def ema_params(teacher: NetModel, student: NetModel, alpha: float) -> NetModel:
 # checkpoint format
 # ---------------------------------------------------------------------------
 # Little-endian binary:
-#   magic "RMLCKPT1"
+#   magic "RMLCKPT2"
 #   u32 len + utf-8 arch descriptor, u32 K, u32 C
+#   f64 dropout rate, f64 stochastic-depth survival
 #   u32 tensor count, then per tensor:
-#     u32 name len + utf-8 name, u32 ndim, u32 dims..., f32 data
+#     u32 name len + utf-8 name, u32 ndim, u32 dims..., f64 data
 # Model parameters are stored under "param/<name>"; callers may attach
-# extra named tensors (e.g. a prototype bank).
+# extra named tensors (e.g. a prototype bank). The older "RMLCKPT1" format
+# had no noise fields and f32 data, so it cannot describe the saved model
+# and is rejected.
 
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    data = np.ascontiguousarray(arr, dtype="<f4")
+    data = np.ascontiguousarray(arr, dtype="<f8")
     nb = name.encode("utf-8")
     fh.write(struct.pack("<I", len(nb)))
     fh.write(nb)
@@ -609,6 +576,8 @@ def save_checkpoint(path, model: NetModel, extra: dict[str, np.ndarray] | None =
         fh.write(struct.pack("<I", len(desc)))
         fh.write(desc)
         fh.write(struct.pack("<II", model.num_classes, model.feature_dim))
+        fh.write(struct.pack("<dd", model.noise.dropout_rate,
+                             model.noise.stochastic_depth_survival))
         extra = extra or {}
         names = [f"param/{k}" for k in sorted(model.params)] + sorted(extra)
         fh.write(struct.pack("<I", len(names)))
@@ -619,20 +588,24 @@ def save_checkpoint(path, model: NetModel, extra: dict[str, np.ndarray] | None =
                 _write_tensor(fh, name, extra[name])
 
 
-def load_checkpoint(path, noise: NoiseConfig = NOISE_OFF):
+def load_checkpoint(path):
     """Read a checkpoint; returns ``(NetModel, extra_tensors)``.
 
-    Noise configuration is not persisted; supply it at load time (defaults
-    to disabled, suitable for evaluation).
+    The model is in eval mode, with the architecture, noise and params it
+    was saved with, so it evaluates exactly as the saved model did.
     """
     try:
         with open(path, "rb") as fh:
             magic = _read_exact(fh, 8, "magic")
+            if magic == b"RMLCKPT1":
+                raise FormatError(f"checkpoint {path} has the older RMLCKPT1 format, which "
+                                  "lacks the model's noise; train the run again")
             if magic != CHECKPOINT_MAGIC:
                 raise FormatError(f"bad checkpoint magic {magic!r} at offset 0 in {path}")
             (dlen,) = struct.unpack("<I", _read_exact(fh, 4, "descriptor length"))
             desc = _read_exact(fh, dlen, "descriptor").decode("utf-8")
             k, c = struct.unpack("<II", _read_exact(fh, 8, "K/C header"))
+            noise = NoiseConfig(*struct.unpack("<dd", _read_exact(fh, 16, "noise header")))
             (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
             tensors: dict[str, np.ndarray] = {}
             for _ in range(count):
@@ -641,16 +614,22 @@ def load_checkpoint(path, noise: NoiseConfig = NOISE_OFF):
                 (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "tensor ndim"))
                 dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor dims"))
                 numel = int(np.prod(dims)) if ndim else 1
-                raw = _read_exact(fh, 4 * numel, f"tensor data for {name}")
-                tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+                raw = _read_exact(fh, 8 * numel, f"tensor data for {name}")
+                tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     except _Truncated as exc:
         raise FormatError(
             f"truncated checkpoint {path}: missing {exc.what} at offset {exc.offset}"
         ) from None
     except OSError as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    arch = re.fullmatch(r"(\w+):in=(\d+):hidden=(\d+):patch=(\d+)", desc)
+    if arch is None:
+        raise FormatError(f"bad architecture descriptor {desc!r} in checkpoint {path}")
+    try:
+        spec = ArchSpec(arch[1], *map(int, arch.groups()[1:]))
+        noise.validate()
+    except ConfigError as exc:
+        raise FormatError(f"bad model description in checkpoint {path}: {exc}") from None
     params = {n[6:]: t for n, t in tensors.items() if n.startswith("param/")}
     extra = {n: t for n, t in tensors.items() if not n.startswith("param/")}
-    spec = parse_arch(desc)
-    model = NetModel(spec, k, c, noise, params, mode="eval")
-    return model, extra
+    return NetModel(spec, k, c, noise, params, mode="eval"), extra

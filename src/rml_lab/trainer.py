@@ -39,6 +39,7 @@ from .data import Dataset
 from .errors import ConfigError, TrainingError
 from .metrics import pseudo_accuracy, segmentation_scores, tv_distance
 from .netcore import (
+    ARCH_KINDS,
     NetModel,
     NoiseConfig,
     build_model,
@@ -69,8 +70,8 @@ class RmlConfig:
     """Hyperparameters for one training run."""
 
     variant: str = "rml"
-    arch_pair: tuple = ("cnn", "cnn")
-    feature_dim: tuple = (16, 16)
+    arch_pair: tuple[str, str] = ("cnn", "cnn")
+    feature_dim: tuple[int, int] = (16, 16)
     hidden: int = 64
     patch: int = 2
     labeled_fraction: float = 1 / 8
@@ -106,9 +107,9 @@ class RmlConfig:
     def validate(self) -> "RmlConfig":
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}", "variant")
-        if len(self.arch_pair) != 2:
-            raise ConfigError(f"arch_pair needs exactly 2 entries, got {self.arch_pair}",
-                              "arch_pair")
+        if len(self.arch_pair) != 2 or any(a not in ARCH_KINDS for a in self.arch_pair):
+            raise ConfigError(f"arch_pair must be 2 architectures of {ARCH_KINDS}, "
+                              f"got {self.arch_pair}", "arch_pair")
         if len(self.feature_dim) != 2 or min(self.feature_dim) < 1:
             raise ConfigError(f"feature_dim must be 1 or 2 positive ints, got {self.feature_dim}",
                               "feature_dim")
@@ -119,7 +120,7 @@ class RmlConfig:
             if not lo <= v <= hi:
                 raise ConfigError(f"{name} out of range [{lo},{hi}]: {v}", name)
         for name in ("iterations", "stages", "batch_labeled", "batch_unlabeled",
-                     "baseline_iterations", "eval_interval"):
+                     "baseline_iterations", "eval_interval", "hidden", "patch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1", name)
         if self.lr < 0:
@@ -137,9 +138,9 @@ class RmlConfig:
 
     def model_noise(self) -> NoiseConfig:
         if not self.noise_model:
-            return NoiseConfig(enabled=False)
+            return NoiseConfig()
         return NoiseConfig(dropout_rate=self.dropout_rate,
-                           stochastic_depth_survival=self.sd_survival, enabled=True)
+                           stochastic_depth_survival=self.sd_survival)
 
     @property
     def needs_rectification(self) -> bool:
@@ -249,6 +250,24 @@ def _sample(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return rng.choice(n, size=size, replace=n < size)
 
 
+def _supervised_step(model: NetModel, images, targets, policy, lr: float,
+                     rng_aug, rng_noise, what: str) -> float:
+    """Weak augmentation, one cross-entropy term on ``targets``, one SGD step;
+    ``what`` names the loss in the error if it is not finite."""
+    x = photometric(images, policy, "weak", rng_aug)
+    (loss,), grads = loss_and_gradients(model, x, [(targets, None)], rng=rng_noise)
+    if not np.isfinite(loss):
+        raise TrainingError(f"non-finite {what}")
+    sgd_step(model, grads, lr)
+    return loss
+
+
+def _write_summary(out_path: Path | None, summary: dict) -> None:
+    if out_path is not None:
+        (out_path / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------
@@ -268,12 +287,9 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
     targets = onehot_labels(labeled.labels, k)
     for it in range(cfg.baseline_iterations):
         idx = _sample(rng_data, len(labeled), cfg.batch_labeled)
-        x = photometric(labeled.images[idx], policy, "weak", rng_aug)
-        (loss,), grads = loss_and_gradients(model, x, [(targets[idx], None)], rng=rng_noise)
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite baseline loss at iteration {it}")
         lr = poly_lr(cfg.lr, it, cfg.baseline_iterations, cfg.lr_power)
-        sgd_step(model, grads, lr)
+        loss = _supervised_step(model, labeled.images[idx], targets[idx], policy, lr,
+                                rng_aug, rng_noise, f"baseline loss at iteration {it}")
         if records is not None and (it + 1) % cfg.eval_interval == 0:
             miou, acc = (evaluate_model(model, eval_set, k, cfg.eval_subset)
                          if eval_set is not None else (float("nan"), float("nan")))
@@ -343,16 +359,10 @@ def labeled_step(quad: ModelQuad, images: np.ndarray, labels: np.ndarray,
                  cfg: RmlConfig, lr: float, k: int, rngs) -> list:
     """One supervised SGD step per student; teachers untouched."""
     targets = onehot_labels(labels, k)
-    losses = []
     policy = cfg.policy()
-    for i, student in enumerate(quad.students):
-        x = photometric(images, policy, "weak", rngs[i])
-        (loss,), grads = loss_and_gradients(student, x, [(targets, None)], rng=rngs[i])
-        if not np.isfinite(loss):
-            raise TrainingError("non-finite labeled loss")
-        sgd_step(student, grads, lr)
-        losses.append(loss)
-    return losses
+    return [_supervised_step(student, images, targets, policy, lr, rngs[i], rngs[i],
+                             "labeled loss")
+            for i, student in enumerate(quad.students)]
 
 
 def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlConfig,
@@ -525,8 +535,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
             }
             if out_path is not None:
                 save_checkpoint(out_path / "baseline.ckpt", model)
-                (out_path / "summary.json").write_text(
-                    json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            _write_summary(out_path, summary)
             return RunResult(None, model, records, summary)
 
         hetero = (cfg.arch_pair[0] != cfg.arch_pair[1]
@@ -624,9 +633,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
         summary["final_miou_teachers"] = last.miou_teachers
         summary["final_pseudo_acc"] = last.pseudo_acc
         summary["final_tv_teachers"] = last.tv_teachers
-        if out_path is not None:
-            (out_path / "summary.json").write_text(
-                json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write_summary(out_path, summary)
         return RunResult(quad, None, records, summary)
     finally:
         if sink is not None:

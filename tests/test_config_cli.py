@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ import pytest
 
 from rml_lab import cli
 from rml_lab.config import config_from_dict, resolved_dump, validate_config
+from rml_lab.data import load_dataset, make_split
 from rml_lab.errors import ConfigError, StateError
-from rml_lab.netcore import build_model, save_checkpoint
+from rml_lab.netcore import NoiseConfig, build_model, save_checkpoint
+from rml_lab.trainer import RmlConfig, evaluate_model, run_rml
 
 
 def write_config(tmp_path, blob, name="cfg.json") -> Path:
@@ -37,6 +40,13 @@ def test_empty_config_fills_defaults(tmp_path):
 def test_out_of_range_value_names_field(tmp_path):
     path = write_config(tmp_path, {"tau": 1.5})
     with pytest.raises(ConfigError, match="tau"):
+        validate_config(path)
+
+
+@pytest.mark.parametrize("field", ["hidden", "patch"])
+def test_architecture_sizes_must_be_positive(tmp_path, field):
+    path = write_config(tmp_path, {"seed": 1, field: 0})
+    with pytest.raises(ConfigError, match=rf"cfg\.json:3: {field} must be >= 1"):
         validate_config(path)
 
 
@@ -325,3 +335,73 @@ def test_train_config_directory_is_one_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:config:")
     assert "cfgdir" in err[0]
+
+
+@pytest.mark.parametrize("field, value", [("tau", "0.5"), ("use_cutmix", "no"),
+                                          ("iterations", 1000.0)])
+def test_wrongly_typed_value_is_one_config_error_on_its_line(tmp_path, capsys, field, value):
+    path = write_config(tmp_path, {"seed": 1, field: value, "stages": 1})
+    rc = cli.main(["validate", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error:config: {path}:3: {field} has the wrong JSON type")
+
+
+@pytest.mark.parametrize("pair", [["cnn", "rnn"], ["cnn:hidden=32", "cnn"]])
+def test_arch_pair_takes_architecture_kinds_only(tmp_path, capsys, pair):
+    path = write_config(tmp_path, {"seed": 1, "arch_pair": pair})
+    rc = cli.main(["validate", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error:config: {path}:3: arch_pair must be")
+
+
+def test_noisy_run_checkpoints_evaluate_like_the_run(tmp_path, capsys):
+    # dropout 0.5 and survival 0.8 (the defaults): the eval-mode forward scales
+    # each residual branch of the cnn and the attn by 0.8, so a checkpoint must
+    # carry the noise and the f64 params to score what the in-run model scored
+    data = gen_shapes(tmp_path, seed=11)
+    train_set, ev, meta = load_dataset(data)
+    k = meta["num_classes"]
+    cfg = RmlConfig(variant="rml", arch_pair=("cnn", "attn"), feature_dim=8, iterations=10,
+                    stages=1, baseline_iterations=20, eval_interval=10, eval_subset=8,
+                    pseudo_subset=8, labeled_fraction=0.25, seed=3, batch_labeled=3,
+                    batch_unlabeled=2, dropout_rate=0.5, sd_survival=0.8)
+    split = make_split(len(train_set), cfg.labeled_fraction, cfg.seed)
+    out = tmp_path / "run"
+    result = run_rml(train_set.subset(split.labeled), train_set.subset(split.unlabeled),
+                     ev, cfg, k, out_dir=out)
+    quad = result.quad
+    models = {f"stage1_{role}{i + 1}.ckpt": getattr(quad, role + "s")[i]
+              for role in ("teacher", "student") for i in range(2)}
+    assert sorted(models) == sorted(p.name for p in out.glob("*.ckpt"))
+    capsys.readouterr()
+    for name, model in models.items():
+        assert model.noise == NoiseConfig(0.5, 0.8)
+        for split_name, ds in (("eval", ev), ("train", train_set)):
+            assert cli.main(["eval", "--checkpoint", str(out / name), "--data", str(data),
+                             "--split", split_name]) == 0
+            got = json.loads(capsys.readouterr().out)
+            miou, acc = evaluate_model(model, ds, k)
+            assert (got["miou"], got["pixel_acc"]) == (miou, acc), (name, split_name)
+
+
+def test_eval_checkpoint_with_bad_noise_is_one_format_error(tmp_path, capsys):
+    data = gen_shapes(tmp_path, seed=12)
+    model = build_model("cnn", K=4, C=4, in_channels=3, noise=NoiseConfig(0.5, 0.8))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model)
+    blob = bytearray(ckpt.read_bytes())
+    at = blob.index(struct.pack("<d", 0.8))   # the survival field of the header
+    blob[at:at + 8] = struct.pack("<d", 1.5)
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:")
+    assert "stochastic_depth_survival" in err[0] and "1.5" in err[0]

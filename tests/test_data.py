@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -9,7 +10,6 @@ from rml_lab.data import (
     generate_shapes_dataset,
     ingest_mnist_idx,
     load_dataset,
-    load_split,
     make_split,
     read_idx,
     save_dataset,
@@ -190,12 +190,10 @@ def test_dataset_roundtrip(tmp_path):
 
 def test_split_roundtrip(tmp_path):
     s = make_split(50, 0.2, seed=3, eval_ids=np.arange(10))
-    save_split(tmp_path, s)
-    s2 = load_split(tmp_path)
-    np.testing.assert_array_equal(s.labeled, s2.labeled)
-    np.testing.assert_array_equal(s.unlabeled, s2.unlabeled)
-    np.testing.assert_array_equal(s.eval_ids, s2.eval_ids)
-    assert s2.fraction == s.fraction and s2.seed == s.seed
+    path = save_split(tmp_path, s)
+    blob = json.loads(path.read_text())
+    assert blob == {"fraction": s.fraction, "seed": s.seed, "labeled": s.labeled.tolist(),
+                    "unlabeled": s.unlabeled.tolist(), "eval": s.eval_ids.tolist()}
 
 
 def test_ingest_mnist_idx(tmp_path):

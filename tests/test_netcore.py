@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,10 @@ from rml_lab.netcore import (
 
 from oracles import cross_entropy
 
-NOISY = NoiseConfig(dropout_rate=0.5, stochastic_depth_survival=0.8, enabled=True)
+NOISY = NoiseConfig(dropout_rate=0.5, stochastic_depth_survival=0.8)
 
 
-def small_model(kind, seed=0, noise=netcore.NOISE_OFF):
+def small_model(kind, seed=0, noise=NoiseConfig()):
     if kind == "mlp":
         return build_model("mlp", K=3, C=4, noise=noise, seed=seed, in_channels=5, hidden=6)
     if kind == "cnn":
@@ -111,7 +113,7 @@ def test_bad_arch_rejected():
     with pytest.raises(ConfigError):
         build_model("resnet", K=3, C=4)
     with pytest.raises(ConfigError):
-        netcore.parse_arch("mlp:widht=3")
+        build_model("mlp:widht=3", K=3, C=4)
 
 
 def test_eval_forward_is_pure():
@@ -126,7 +128,7 @@ def test_eval_forward_is_pure():
 
 def test_noise_off_train_equals_eval():
     for kind in ("mlp", "cnn", "attn"):
-        m = small_model(kind, noise=NoiseConfig(0.5, 0.8, enabled=False))
+        m = small_model(kind, noise=NoiseConfig())
         x = small_input(kind)
         m.train()
         _, lt = m.forward(x)
@@ -138,7 +140,7 @@ def test_noise_off_train_equals_eval():
 def test_dropout_zeroed_fraction_binomial():
     # binomial-proportion oracle: 1e4 units at rate 0.5 -> fraction in 0.5 +/- 0.02
     m = build_model("mlp", K=2, C=10_000, seed=0, in_channels=4, hidden=8,
-                    noise=NoiseConfig(dropout_rate=0.5, enabled=True))
+                    noise=NoiseConfig(dropout_rate=0.5))
     x = np.abs(np.random.default_rng(5).random((1, 1, 1, 4))) + 0.5
     feats, _ = m.forward(x, rng=np.random.default_rng(11))
     dropped, mask = netcore._dropout(m, feats, np.random.default_rng(11))
@@ -149,7 +151,7 @@ def test_dropout_zeroed_fraction_binomial():
 
 
 def test_stochastic_depth_survival_one_is_identity():
-    m = small_model("cnn", noise=NoiseConfig(0.0, 1.0, enabled=True))
+    m = small_model("cnn", noise=NoiseConfig(0.0, 1.0))
     x = small_input("cnn")
     m.train()
     _, lt = m.forward(x, rng=np.random.default_rng(0))
@@ -531,17 +533,49 @@ def test_ema_arch_mismatch():
 
 
 def test_checkpoint_roundtrip(tmp_path):
+    # the whole model comes back: arch, sizes, noise and bitwise f64 params
+    extra = {"bank/eta": np.random.default_rng(0).normal(size=(2, 3))}
+    for kind in ("mlp", "cnn", "attn"):
+        m = small_model(kind, seed=12, noise=NOISY)
+        path = tmp_path / f"{kind}.ckpt"
+        save_checkpoint(path, m, extra)
+        assert path.read_bytes()[:8] == b"RMLCKPT2"
+        loaded, extras = load_checkpoint(path)
+        assert loaded.arch == m.arch
+        assert loaded.num_classes == m.num_classes
+        assert loaded.feature_dim == m.feature_dim
+        assert loaded.noise == NOISY
+        assert loaded.mode == "eval"
+        assert set(loaded.params) == set(m.params)
+        for k in m.params:
+            assert loaded.params[k].dtype == np.float64
+            assert loaded.params[k].tobytes() == m.params[k].tobytes()
+        assert extras["bank/eta"].tobytes() == extra["bank/eta"].tobytes()
+        x = small_input(kind)
+        assert m.eval().forward(x)[1].tobytes() == loaded.forward(x)[1].tobytes()
+
+
+def test_v1_checkpoint_is_rejected_as_an_older_format(tmp_path):
+    # RMLCKPT1 stored no noise and f32 params, so it cannot give back the saved model
     m = small_model("cnn", seed=12)
-    extra = {"bank/eta": np.arange(6, dtype=np.float64).reshape(2, 3)}
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, m)
+    path.write_bytes(b"RMLCKPT1" + path.read_bytes()[8:])
+    with pytest.raises(FormatError, match="older RMLCKPT1 format.*train the run again"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("noise", [(0.5, 1.5), (-0.1, 0.8), (float("nan"), 1.0)])
+def test_checkpoint_with_bad_noise_is_a_format_error(tmp_path, noise):
+    m = small_model("cnn", seed=12)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, m, extra)
-    loaded, extras = load_checkpoint(path)
-    assert loaded.arch == m.arch
-    assert loaded.num_classes == m.num_classes
-    assert loaded.feature_dim == m.feature_dim
-    for k in m.params:
-        np.testing.assert_allclose(loaded.params[k], m.params[k].astype(np.float32))
-    np.testing.assert_array_equal(extras["bank/eta"], extra["bank/eta"])
+    save_checkpoint(path, m)
+    blob = bytearray(path.read_bytes())
+    at = 8 + 4 + len(m.arch.descriptor()) + 8
+    blob[at:at + 16] = struct.pack("<dd", *noise)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="out of"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -558,4 +592,17 @@ def test_checkpoint_truncation_reports_offset(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(FormatError, match="offset"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("desc", [b"rnn:in=3:hidden=64:patch=2", b"cnn:in=3:hidden=64:patch=0",
+                                  b"cnn:in=3:widht=64:patch=2"])
+def test_checkpoint_with_bad_architecture_is_a_format_error(tmp_path, desc):
+    m = small_model("cnn", seed=12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m)
+    old = m.arch.descriptor().encode()
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(desc)) + desc + blob[12 + len(old):])
+    with pytest.raises(FormatError, match="checkpoint"):
         load_checkpoint(path)

@@ -6,7 +6,7 @@ import pytest
 from rml_lab.augment import mix_images, photometric
 from rml_lab.data import Dataset, generate_shapes_dataset, make_split
 from rml_lab import trainer
-from rml_lab.errors import ConfigError
+from rml_lab.errors import ConfigError, TrainingError
 from rml_lab.metrics import pseudo_accuracy, tv_distance
 from rml_lab.netcore import softmax
 from rml_lab.protobank import init_bank
@@ -205,6 +205,26 @@ def test_labeled_step_leaves_teachers_alone(shapes_data):
     for i, t in enumerate(quad.teachers):
         for key in t.params:
             np.testing.assert_array_equal(t.params[key], before[i][key])
+
+
+def test_non_finite_supervised_loss_names_its_step(shapes_data, monkeypatch):
+    labeled, unlabeled, _ = shapes_data
+    cfg = tiny_cfg(baseline_iterations=5)
+    quad, _ = init_stage(train_baseline(labeled, cfg, k=K), labeled, unlabeled, cfg, k=K)
+    real, calls_left = trainer.loss_and_gradients, [3]
+
+    def nan_loss_at_call(*args, **kw):
+        calls_left[0] -= 1
+        losses, grads = real(*args, **kw)
+        return ([float("nan")] if calls_left[0] == 0 else losses), grads
+
+    monkeypatch.setattr(trainer, "loss_and_gradients", nan_loss_at_call)
+    with pytest.raises(TrainingError, match=r"^non-finite baseline loss at iteration 2$"):
+        train_baseline(labeled, cfg, k=K)
+    calls_left[0] = 1
+    with pytest.raises(TrainingError, match=r"^non-finite labeled loss$"):
+        labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1, k=K,
+                     rngs=[np.random.default_rng(0), np.random.default_rng(1)])
 
 
 # ---------------------------------------------------------------------------
