@@ -3,13 +3,21 @@
 Three fixed toy architectures (pixelwise MLP, residual CNN, single-head
 patch attention) with hand-written backprop, configurable dropout and
 stochastic depth, plain SGD and EMA parameter updates, and a little-endian
-binary checkpoint format. Everything runs in float64 on numpy; there is no
-general autodiff.
+binary checkpoint format, on numpy; there is no general autodiff.
 
-A model is its :class:`ArchSpec`, K, C, float64 params and
-:class:`NoiseConfig`; the noise is part of the evaluated model, since an
-eval-mode forward scales each residual branch by its stochastic-depth
-survival. A checkpoint stores all of it (see :func:`load_checkpoint`).
+A model is its :class:`ArchSpec`, K, C, params and :class:`NoiseConfig`;
+the noise is part of the evaluated model, since an eval-mode forward scales
+each residual branch by its stochastic-depth survival. A checkpoint stores
+all of it (see :func:`load_checkpoint`).
+
+A model computes in the dtype of its params: float32 as
+:func:`build_model` makes them, float64 once its params are cast (the
+finite-difference tests do so). Inputs, loss targets and masks are cast to
+that dtype, and every buffer, gate, mask and gradient takes it. Random
+draws are float64 and cast afterwards, so a float64 model draws and
+computes exactly as a float64 engine would. Softmax keeps the logits'
+dtype. Everything outside this module (augmentation, prototypes,
+rectification, metrics) works in float64.
 
 All inputs are ``(N, H, W, Cin)`` arrays; every architecture returns a
 feature map ``(N, H, W, C)`` and logits ``(N, H, W, K)`` at the same
@@ -48,6 +56,7 @@ bitwise equal to the im2col/col2im reference in tests/test_netcore.py.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -59,7 +68,7 @@ from .errors import ConfigError, FormatError, InputError, InternalError, Trainin
 
 ARCH_KINDS = ("mlp", "cnn", "attn")
 
-CHECKPOINT_MAGIC = b"RMLCKPT2"
+CHECKPOINT_MAGIC = b"RMLCKPT3"
 
 EVAL_CHUNK_PIXELS = 4096    # pixels per eval-mode forward chunk (16 images of 16x16)
 
@@ -113,6 +122,11 @@ class NetModel:
         self.params = params
         self.mode = mode
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: that of the params."""
+        return self.params["head_w"].dtype
+
     def train(self) -> "NetModel":
         self.mode = "train"
         return self
@@ -152,49 +166,44 @@ class NetModel:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), seed: int = 0,
-                in_channels: int = 3, hidden: int = 64, patch: int = 2) -> NetModel:
-    """Build an initialized model of architecture ``kind`` in train mode.
-
-    Initialization is Glorot uniform (``±sqrt(6/(fan_in+fan_out))``) drawn
-    from ``np.random.default_rng(seed)`` in a fixed parameter order, so two
-    builds from the same arguments are parameter-identical.
-    """
+def _param_shapes(spec: ArchSpec, K: int, C: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of a model, in initialization order."""
     if K < 2:
         raise ConfigError(f"need at least 2 classes, got K={K}")
     if C < 1:
         raise ConfigError(f"feature dim must be positive, got C={C}")
+    ci, h, p = spec.in_channels, spec.hidden, spec.patch
+    if spec.kind == "mlp":
+        shapes = {"fc1_w": (ci, h), "fc1_b": (h,), "fc2_w": (h, C), "fc2_b": (C,)}
+    elif spec.kind == "cnn":
+        shapes = {"conv1_w": (9 * ci, C), "conv1_b": (C,), "block1_w": (9 * C, C),
+                  "block1_b": (C,), "block2_w": (9 * C, C), "block2_b": (C,)}
+    else:  # attn
+        shapes = {"embed_w": (p * p * ci, C), "embed_b": (C,), "q_w": (C, C), "k_w": (C, C),
+                  "v_w": (C, C), "out_w": (C, C), "out_b": (C,)}
+    return {**shapes, "head_w": (C, K), "head_b": (K,)}
+
+
+def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), seed: int = 0,
+                in_channels: int = 3, hidden: int = 64, patch: int = 2) -> NetModel:
+    """Build an initialized float32 model of architecture ``kind`` in train mode.
+
+    Weights are Glorot uniform (``±sqrt(6/(fan_in+fan_out))``) drawn in
+    float64 from ``np.random.default_rng(seed)`` in a fixed parameter order
+    and then cast; biases start at zero. Two builds from the same arguments
+    are parameter-identical.
+    """
     noise.validate()
     spec = ArchSpec(kind, in_channels, hidden, patch)
     rng = np.random.default_rng(seed)
-    ci, h, p = spec.in_channels, spec.hidden, spec.patch
-    params: dict[str, np.ndarray] = {}
-    if spec.kind == "mlp":
-        params["fc1_w"] = _glorot(rng, (ci, h), ci, h)
-        params["fc1_b"] = np.zeros(h)
-        params["fc2_w"] = _glorot(rng, (h, C), h, C)
-        params["fc2_b"] = np.zeros(C)
-    elif spec.kind == "cnn":
-        params["conv1_w"] = _glorot(rng, (9 * ci, C), 9 * ci, C)
-        params["conv1_b"] = np.zeros(C)
-        params["block1_w"] = _glorot(rng, (9 * C, C), 9 * C, C)
-        params["block1_b"] = np.zeros(C)
-        params["block2_w"] = _glorot(rng, (9 * C, C), 9 * C, C)
-        params["block2_b"] = np.zeros(C)
-    else:  # attn
-        tok = p * p * ci
-        params["embed_w"] = _glorot(rng, (tok, C), tok, C)
-        params["embed_b"] = np.zeros(C)
-        for name in ("q_w", "k_w", "v_w", "out_w"):
-            params[name] = _glorot(rng, (C, C), C, C)
-        params["out_b"] = np.zeros(C)
-    params["head_w"] = _glorot(rng, (C, K), C, K)
-    params["head_b"] = np.zeros(K)
+    params = {name: (_glorot(rng, shape) if len(shape) == 2 else np.zeros(shape))
+              .astype(np.float32) for name, shape in _param_shapes(spec, K, C).items()}
     return NetModel(spec, K, C, noise, params, mode="train")
 
 
@@ -205,8 +214,9 @@ def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), s
 
 def _check_input(m: NetModel, x: np.ndarray) -> np.ndarray:
     """Validate input shape; vector-input models accept the whole image
-    flattened into channels (in_channels == H*W*C)."""
-    x = np.asarray(x, dtype=np.float64)
+    flattened into channels (in_channels == H*W*C). Returns the input in the
+    model's dtype."""
+    x = np.asarray(x, dtype=m.dtype)
     if x.ndim != 4:
         raise InputError(f"expected (N,H,W,C) input, got shape {x.shape}")
     n, h, w, ch = x.shape
@@ -236,7 +246,7 @@ def _dropout(m: NetModel, x: np.ndarray, rng):
     if rng is None:
         raise InputError("rng required in train mode with dropout enabled")
     keep = rng.random(x.shape) >= rate
-    mask = keep / (1.0 - rate)
+    mask = (keep / (1.0 - rate)).astype(x.dtype)
     return x * mask, mask
 
 
@@ -244,18 +254,18 @@ def _sd_gate(m: NetModel, n: int, rng):
     """Per-sample stochastic-depth gate for one residual block, shape (n,1,1,1)."""
     p = m.noise.stochastic_depth_survival
     if p >= 1.0:
-        return np.ones((n, 1, 1, 1))
+        return np.ones((n, 1, 1, 1), m.dtype)
     if m.mode == "eval":
-        return np.full((n, 1, 1, 1), p)
+        return np.full((n, 1, 1, 1), p, m.dtype)
     if rng is None:
         raise InputError("rng required in train mode with stochastic depth enabled")
-    return (rng.random((n, 1, 1, 1)) < p).astype(np.float64)
+    return (rng.random((n, 1, 1, 1)) < p).astype(m.dtype)
 
 
 def _im2col3(x: np.ndarray) -> np.ndarray:
     """3x3 same-padding patch extraction: (N,H,W,Ci) -> (N,H,W,3,3,Ci)."""
     n, h, w, ci = x.shape
-    xp = np.zeros((n, h + 2, w + 2, ci))
+    xp = np.zeros((n, h + 2, w + 2, ci), x.dtype)
     xp[:, 1:-1, 1:-1] = x
     s0, s1, s2, s3 = xp.strides
     return as_strided(xp, (n, h, w, 3, 3, ci), (s0, s1, s2, s1, s2, s3)).copy()
@@ -288,7 +298,7 @@ def _conv3_dx(dy, w):
     n, h, wd, co = dy.shape
     ci = w.shape[0] // 9
     dcols = (dy.reshape(-1, co) @ w.T).reshape(n, h, wd, 3, 3, ci)
-    dx = np.zeros((n, h, wd, ci))
+    dx = np.zeros((n, h, wd, ci), dcols.dtype)
     for di in range(3):
         for dj in range(3):
             dx[:, _DX_SLICE[di], _DX_SLICE[dj]] += (
@@ -316,12 +326,12 @@ def _softmax_last(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the class (last) axis."""
-    return _softmax_last(np.asarray(logits, dtype=np.float64))
+    """Numerically stable softmax over the class (last) axis, in the logits' dtype."""
+    return _softmax_last(np.asarray(logits))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits)
     zs = z - z.max(axis=-1, keepdims=True)
     return zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
 
@@ -368,7 +378,7 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
         q = emb @ p["q_w"]
         k = emb @ p["k_w"]
         v = emb @ p["v_w"]
-        scale = 1.0 / np.sqrt(m.feature_dim)
+        scale = float(1.0 / np.sqrt(m.feature_dim))  # a numpy f64 scalar would promote
         scores = np.matmul(q, k.transpose(0, 2, 1)) * scale
         attn = _softmax_last(scores)
         ctx = np.matmul(attn, v)
@@ -475,16 +485,16 @@ def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
     losses = []
     any_pixels = False
     for target, pixel_mask in terms:
-        target = np.asarray(target, dtype=np.float64)
+        target = np.asarray(target, dtype=logits.dtype)
         if target.shape != logits.shape:
             raise InputError(f"target shape {target.shape} does not match logits {logits.shape}")
         tsum = target.sum(axis=-1)
         if np.any(np.abs(tsum - 1.0) > 1e-4) or np.any(target < -1e-9):
             raise InputError("target rows must be normalized distributions")
         if pixel_mask is None:
-            mask = np.ones(logits.shape[:-1])
+            mask = np.ones(logits.shape[:-1], logits.dtype)
         else:
-            mask = np.asarray(pixel_mask, dtype=np.float64)
+            mask = np.asarray(pixel_mask, dtype=logits.dtype)
             if mask.shape != logits.shape[:-1]:
                 raise InputError(f"mask shape {mask.shape} does not match {logits.shape[:-1]}")
         n = mask.sum()
@@ -531,41 +541,30 @@ def ema_params(teacher: NetModel, student: NetModel, alpha: float) -> NetModel:
 # checkpoint format
 # ---------------------------------------------------------------------------
 # Little-endian binary:
-#   magic "RMLCKPT2"
+#   magic "RMLCKPT3"
 #   u32 len + utf-8 arch descriptor, u32 K, u32 C
 #   f64 dropout rate, f64 stochastic-depth survival
 #   u32 tensor count, then per tensor:
-#     u32 name len + utf-8 name, u32 ndim, u32 dims..., f64 data
-# Model parameters are stored under "param/<name>"; callers may attach
-# extra named tensors (e.g. a prototype bank). The older "RMLCKPT1" format
-# had no noise fields and f32 data, so it cannot describe the saved model
-# and is rejected.
+#     u32 name len + utf-8 name, u8 dtype code, u32 ndim, u32 dims...,
+#     data in that dtype
+# The dtype codes are the IDX ones: 0x0D f32, 0x0E f64. Model parameters are
+# stored under "param/<name>" in their own dtype, so a float32 model comes
+# back bit for bit; callers may attach extra named tensors (e.g. a
+# prototype bank), stored as f32 if they are f32 and as f64 otherwise. The
+# older formats cannot describe the saved model ("RMLCKPT1" had no noise
+# fields, "RMLCKPT2" no dtypes) and are rejected.
+
+_DTYPES = {0x0D: np.dtype("<f4"), 0x0E: np.dtype("<f8")}
 
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    data = np.ascontiguousarray(arr, dtype="<f8")
+    code = 0x0D if np.asarray(arr).dtype == np.float32 else 0x0E
+    data = np.ascontiguousarray(arr, dtype=_DTYPES[code])
     nb = name.encode("utf-8")
     fh.write(struct.pack("<I", len(nb)))
     fh.write(nb)
-    fh.write(struct.pack("<I", data.ndim))
-    for d in data.shape:
-        fh.write(struct.pack("<I", d))
+    fh.write(struct.pack(f"<BI{data.ndim}I", code, data.ndim, *data.shape))
     fh.write(data.tobytes())
-
-
-class _Truncated(Exception):
-    """Internal sentinel; converted to FormatError with the file offset."""
-
-    def __init__(self, fh, what):
-        self.offset = fh.tell()
-        self.what = what
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise _Truncated(fh, what)
-    return buf
 
 
 def save_checkpoint(path, model: NetModel, extra: dict[str, np.ndarray] | None = None) -> None:
@@ -588,48 +587,92 @@ def save_checkpoint(path, model: NetModel, extra: dict[str, np.ndarray] | None =
                 _write_tensor(fh, name, extra[name])
 
 
+class _Reader:
+    """Reads the fields of a checkpoint's bytes in order; a field that is cut
+    short or is not UTF-8 text is a FormatError that gives its offset."""
+
+    def __init__(self, path, raw: bytes):
+        self.path, self.raw, self.pos = path, raw, 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > len(self.raw) - self.pos:
+            raise FormatError(
+                f"truncated checkpoint {self.path}: missing {what} at offset {self.pos}")
+        self.pos += n
+        return self.raw[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), what))
+
+    def text(self, what: str) -> str:
+        (n,) = self.unpack("I", f"{what} length")
+        at = self.pos
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{what} in checkpoint {self.path} is not UTF-8 "
+                              f"at offset {at + exc.start}") from None
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(NetModel, extra_tensors)``.
 
     The model is in eval mode, with the architecture, noise and params it
-    was saved with, so it evaluates exactly as the saved model did.
+    was saved with, in their saved dtype, so it evaluates exactly as the
+    saved model did. The params must be those the architecture, K and C
+    name, in their shapes and in one dtype.
     """
     try:
         with open(path, "rb") as fh:
-            magic = _read_exact(fh, 8, "magic")
-            if magic == b"RMLCKPT1":
-                raise FormatError(f"checkpoint {path} has the older RMLCKPT1 format, which "
-                                  "lacks the model's noise; train the run again")
-            if magic != CHECKPOINT_MAGIC:
-                raise FormatError(f"bad checkpoint magic {magic!r} at offset 0 in {path}")
-            (dlen,) = struct.unpack("<I", _read_exact(fh, 4, "descriptor length"))
-            desc = _read_exact(fh, dlen, "descriptor").decode("utf-8")
-            k, c = struct.unpack("<II", _read_exact(fh, 8, "K/C header"))
-            noise = NoiseConfig(*struct.unpack("<dd", _read_exact(fh, 16, "noise header")))
-            (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-            tensors: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "tensor name length"))
-                name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
-                (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "tensor ndim"))
-                dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor dims"))
-                numel = int(np.prod(dims)) if ndim else 1
-                raw = _read_exact(fh, 8 * numel, f"tensor data for {name}")
-                tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
-    except _Truncated as exc:
-        raise FormatError(
-            f"truncated checkpoint {path}: missing {exc.what} at offset {exc.offset}"
-        ) from None
+            r = _Reader(path, fh.read())
     except OSError as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    magic = r.take(8, "magic")
+    if magic in (b"RMLCKPT1", b"RMLCKPT2"):
+        raise FormatError(f"checkpoint {path} has the older {magic.decode()} format, which "
+                          "cannot describe the saved model; train the run again")
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad checkpoint magic {magic!r} at offset 0 in {path}")
+    desc = r.text("descriptor")
+    k, c = r.unpack("II", "K/C header")
+    noise = NoiseConfig(*r.unpack("dd", "noise header"))
+    (count,) = r.unpack("I", "tensor count")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        name = r.text("tensor name")
+        (code,) = r.unpack("B", f"dtype code of {name!r}")
+        if code not in _DTYPES:
+            raise FormatError(f"unknown dtype code {code:#04x} of tensor {name!r} "
+                              f"at offset {r.pos - 1} in checkpoint {path}")
+        (ndim,) = r.unpack("I", "tensor ndim")
+        at = r.pos
+        dims = r.unpack(f"{ndim}I", "tensor dims")
+        dtype = _DTYPES[code]
+        raw = r.take(math.prod(dims) * dtype.itemsize, f"tensor data for {name!r}")
+        try:  # an empty tensor may still name more dims or entries than numpy allows
+            tensors[name] = np.frombuffer(raw, dtype).astype(dtype.type).reshape(dims)
+        except ValueError:
+            raise FormatError(f"impossible dims of tensor {name!r} at offset {at} "
+                              f"in checkpoint {path}") from None
     arch = re.fullmatch(r"(\w+):in=(\d+):hidden=(\d+):patch=(\d+)", desc)
     if arch is None:
         raise FormatError(f"bad architecture descriptor {desc!r} in checkpoint {path}")
     try:
         spec = ArchSpec(arch[1], *map(int, arch.groups()[1:]))
         noise.validate()
+        shapes = _param_shapes(spec, k, c)
     except ConfigError as exc:
         raise FormatError(f"bad model description in checkpoint {path}: {exc}") from None
     params = {n[6:]: t for n, t in tensors.items() if n.startswith("param/")}
     extra = {n: t for n, t in tensors.items() if not n.startswith("param/")}
+    if set(params) != set(shapes):
+        raise FormatError(f"checkpoint {path} has params {sorted(params)}, but its "
+                          f"{desc!r} model with K={k}, C={c} has {sorted(shapes)}")
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise FormatError(f"param {name} in checkpoint {path} has shape "
+                              f"{params[name].shape}, but its model needs {shape}")
+    dtypes = sorted({t.dtype.name for t in params.values()})
+    if len(dtypes) > 1:
+        raise FormatError(f"checkpoint {path} mixes param dtypes {dtypes}")
     return NetModel(spec, k, c, noise, params, mode="eval"), extra

@@ -105,8 +105,7 @@ def init_bank(model, labeled, unlabeled, k: int, lam: float,
             if ds is None or len(ds) == 0:
                 continue
             for start in range(0, len(ds), batch):
-                x = ds.images[start:start + batch].astype(np.float64)
-                feats, logits = model.forward(x)
+                feats, logits = model.forward(ds.images[start:start + batch])
                 assign = (ds.labels[start:start + batch] if use_gt
                           else logits.argmax(axis=-1))
                 parts.append(_class_sums(feats, assign, k))

@@ -338,7 +338,8 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
     quad = ModelQuad(students, teachers, banks)
     stores = (None, None)
     if cfg.needs_rectification and len(unlabeled) > 0:
-        p0 = [soft_predictions(b, unlabeled.images)
+        # the store and the average are float64, as all of rectification is
+        p0 = [soft_predictions(b, unlabeled.images).astype(np.float64)
               for b in (baselines[:1] if shared else baselines)]
         if stage > 1 and not shared:
             # average in place: no third (N,H,W,K) array at the peak
@@ -418,7 +419,7 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
         x_mix = mix_images(x1, batch2[0], mask_stack)
     else:
         mask_stack = None
-        x_mix = np.asarray(x1, dtype=np.float64)
+        x_mix = x1
 
     # per learner, one (labels, feats, fallback) per half
     halves = [[pseudo_labels(quad, i, x, ids, stores, cfg, policy, rngs["teacher"][i])

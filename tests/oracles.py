@@ -28,3 +28,11 @@ def cross_entropy(p: np.ndarray, target: np.ndarray, pixel_mask: np.ndarray | No
     if n == 0:
         return 0.0
     return float((ce * pixel_mask).sum() / n)
+
+
+def float64_copy(model):
+    """A copy of ``model`` with its params cast to float64, so that it computes
+    in float64 and the float64 oracles keep their tolerances."""
+    copy = model.clone()
+    copy.params = {k: v.astype(np.float64) for k, v in copy.params.items()}
+    return copy

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rml_lab import cli
 from rml_lab.config import config_from_dict, resolved_dump, validate_config
@@ -363,7 +368,8 @@ def test_arch_pair_takes_architecture_kinds_only(tmp_path, capsys, pair):
 def test_noisy_run_checkpoints_evaluate_like_the_run(tmp_path, capsys):
     # dropout 0.5 and survival 0.8 (the defaults): the eval-mode forward scales
     # each residual branch of the cnn and the attn by 0.8, so a checkpoint must
-    # carry the noise and the f64 params to score what the in-run model scored
+    # carry the noise and the params in their dtype to score what the in-run
+    # model scored
     data = gen_shapes(tmp_path, seed=11)
     train_set, ev, meta = load_dataset(data)
     k = meta["num_classes"]
@@ -405,3 +411,76 @@ def test_eval_checkpoint_with_bad_noise_is_one_format_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:format:")
     assert "stochastic_depth_survival" in err[0] and "1.5" in err[0]
+
+
+@pytest.mark.parametrize("field, shift, value, message", [
+    (b"cnn:", 0, 0xFF, "descriptor in checkpoint .* is not UTF-8 at offset {at}$"),
+    (b"param/block1_w", 1, 0xFF, "tensor name in checkpoint .* is not UTF-8 at offset {at}$"),
+    (b"param/block1_w", 13, ord("x"), "has params .*block1_x"),
+], ids=["descriptor", "name", "param"])
+def test_eval_of_a_bad_checkpoint_is_one_format_error(tmp_path, capsys, field, shift, value,
+                                                      message):
+    # a descriptor or tensor name that is not UTF-8, and a renamed param,
+    # each gave a traceback from rml-lab eval
+    data = gen_shapes(tmp_path, seed=12)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, build_model("cnn", K=4, C=4, in_channels=3))
+    blob = bytearray(ckpt.read_bytes())
+    at = blob.index(field) + shift
+    blob[at] = value
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:")
+    assert re.search(message.format(at=at), err[0]), err[0]
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A data directory and the bytes of a valid checkpoint of a small noisy
+    mlp with one f64 extra tensor."""
+    root = tmp_path_factory.mktemp("eval_contract")
+    data = gen_shapes(root, seed=13, n=4, n_eval=2, size=8, k=3)
+    ckpt = root / "model.ckpt"
+    model = build_model("mlp", K=3, C=2, in_channels=3, hidden=2, noise=NoiseConfig(0.5, 0.8))
+    save_checkpoint(ckpt, model, {"bank/eta": np.ones((3, 2))})
+    return data, ckpt, ckpt.read_bytes()
+
+
+def eval_outcome(ckpt, data, blob: bytes) -> int:
+    """``rml-lab eval`` of ``blob`` as a checkpoint: exit 0 with JSON, or
+    exactly one ``error:<category>:`` line and that category's exit code."""
+    ckpt.write_bytes(blob)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    if rc == 0:
+        assert err.getvalue() == ""
+        assert set(json.loads(out.getvalue())) == {"iou", "miou", "pixel_acc"}
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        category = re.match(r"error:(\w+): ", lines[0])
+        assert category and rc == cli.EXIT_CODES[category[1]], lines
+    return rc
+
+
+def test_eval_of_every_truncated_checkpoint_is_one_error(small_checkpoint):
+    data, ckpt, blob = small_checkpoint
+    assert eval_outcome(ckpt, data, blob) == 0
+    for n in range(len(blob)):
+        assert eval_outcome(ckpt, data, blob[:n]) == cli.EXIT_CODES["format"], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eval_of_any_one_byte_overwrite_is_json_or_one_error(small_checkpoint, draw):
+    data, ckpt, blob = small_checkpoint
+    at = draw.draw(st.integers(0, len(blob) - 1), label="offset")
+    value = draw.draw(st.integers(0, 255).filter(lambda v: v != blob[at]), label="byte")
+    eval_outcome(ckpt, data, blob[:at] + bytes([value]) + blob[at + 1:])

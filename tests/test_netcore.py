@@ -16,7 +16,7 @@ from rml_lab.netcore import (
     softmax,
 )
 
-from oracles import cross_entropy
+from oracles import cross_entropy, float64_copy
 
 NOISY = NoiseConfig(dropout_rate=0.5, stochastic_depth_survival=0.8)
 
@@ -85,6 +85,41 @@ def test_build_deterministic_from_seed():
         np.testing.assert_array_equal(a.params[k], b.params[k])
     c = build_model("mlp", K=10, C=64, seed=8)
     assert any(not np.array_equal(a.params[k], c.params[k]) for k in a.params)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn", "attn"])
+def test_float32_model_computes_in_float32(kind):
+    # dropout and stochastic depth active: one float64 gate, mask, buffer or
+    # constant anywhere would silently promote the whole pass to float64
+    m = small_model(kind, noise=NOISY)
+    assert {w.dtype for w in m.params.values()} == {np.dtype(np.float32)}
+    assert m.dtype == np.float32
+    x = small_input(kind)   # float64 input is cast to the model's dtype
+    feats, logits, cache = netcore._forward(m, x, np.random.default_rng(0), want_cache=True)
+    arrays = [feats, logits] + [v for v in cache.values() if isinstance(v, np.ndarray)]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert softmax(logits).dtype == np.float32
+    t = onehot_target(x.shape[:1] + m_out_hw(m, x), m.num_classes)
+    mask = np.ones(t.shape[:-1])
+    (loss,), grads = loss_and_gradients(m, x, [(t, mask)], rng=np.random.default_rng(0))
+    assert np.isfinite(loss)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+    feats, logits = m.eval().forward(x)
+    assert feats.dtype == logits.dtype == np.float32
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn", "attn"])
+def test_float32_gradients_match_float64(kind):
+    # same params, input and draws, so only rounding differs: each gradient
+    # within 1e-5 of its largest entry (about 1e-6 is seen at 16x16, batch 4)
+    m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
+    x = np.random.default_rng(4).random((4, 16, 16, 3))
+    t = onehot_target((4, 16, 16), 6)
+    _, g32 = loss_and_gradients(m, x, [(t, None)], rng=np.random.default_rng(9))
+    _, g64 = loss_and_gradients(float64_copy(m), x, [(t, None)], rng=np.random.default_rng(9))
+    for name, g in g64.items():
+        assert g.dtype == np.float64
+        np.testing.assert_allclose(g32[name], g, rtol=0, atol=1e-5 * np.abs(g).max())
 
 
 def test_mlp_logit_shape():
@@ -296,7 +331,7 @@ def test_every_term_target_is_checked():
 
 
 def test_terms_sum_their_losses_and_gradients():
-    m = small_model("cnn")
+    m = float64_copy(small_model("cnn"))
     x = small_input("cnn")
     rng = np.random.default_rng(2)
     t1 = onehot_target((2, 4, 4), 3)
@@ -319,7 +354,7 @@ def test_terms_sum_their_losses_and_gradients():
 
 @pytest.mark.parametrize("kind", ["mlp", "cnn", "attn"])
 def test_gradients_match_finite_differences(kind):
-    m = small_model(kind, seed=4)
+    m = float64_copy(small_model(kind, seed=4))
     x = small_input(kind, seed=6)
     t = onehot_target(x.shape[:1] + m_out_hw(m, x), m.num_classes)
     mask = np.ones(t.shape[:-1])
@@ -335,7 +370,7 @@ def m_out_hw(m, x):
 
 def test_gradients_with_noise_active_match_fd():
     # same rng seed per evaluation makes the noisy loss deterministic
-    m = small_model("mlp", noise=NOISY)
+    m = float64_copy(small_model("mlp", noise=NOISY))
     x = small_input("mlp")
     t = onehot_target((2, 1, 1), 3)
     _, grads = loss_and_gradients(m, x, [(t, None)], rng=np.random.default_rng(9))
@@ -437,7 +472,8 @@ def test_cnn_gradients_bitwise_equal_reference_backward(monkeypatch):
         return inner(m, cache, dlogits)
 
     monkeypatch.setattr(netcore, "_backward", spy)
-    m = build_model("cnn", K=6, C=16, noise=NOISY, seed=3, in_channels=3)
+    # the reference conv computes in float64
+    m = float64_copy(build_model("cnn", K=6, C=16, noise=NOISY, seed=3, in_channels=3))
     x = np.random.default_rng(4).random((4, 16, 16, 3))
     t = onehot_target((4, 16, 16), 6)
     mask = (np.random.default_rng(5).random((4, 16, 16)) < 0.7).astype(np.float64)
@@ -473,7 +509,7 @@ def test_sgd_scalar_rule():
 
 
 def test_sgd_two_steps_linear():
-    m1 = small_model("mlp", seed=3)
+    m1 = float64_copy(small_model("mlp", seed=3))
     m2 = m1.clone()
     grads = {k: np.full_like(v, 0.25) for k, v in m1.params.items()}
     sgd_step(m1, grads, 0.1)
@@ -509,8 +545,8 @@ def test_ema_scalar_rule():
 
 def test_ema_geometric_decay_oracle():
     # frozen student: |teacher_t - student| = alpha^t * |teacher_0 - student|
-    t = small_model("mlp", seed=1)
-    s = small_model("mlp", seed=2)
+    t = float64_copy(small_model("mlp", seed=1))
+    s = float64_copy(small_model("mlp", seed=2))
     alpha = 0.97
     diff0 = {k: t.params[k] - s.params[k] for k in t.params}
     for step in range(100):
@@ -533,35 +569,91 @@ def test_ema_arch_mismatch():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    # the whole model comes back: arch, sizes, noise and bitwise f64 params
+    # the whole model comes back: arch, sizes, noise and bitwise params in
+    # their own dtype (float32 as built, float64 once cast); f64 extras stay f64
     extra = {"bank/eta": np.random.default_rng(0).normal(size=(2, 3))}
     for kind in ("mlp", "cnn", "attn"):
-        m = small_model(kind, seed=12, noise=NOISY)
-        path = tmp_path / f"{kind}.ckpt"
-        save_checkpoint(path, m, extra)
-        assert path.read_bytes()[:8] == b"RMLCKPT2"
-        loaded, extras = load_checkpoint(path)
-        assert loaded.arch == m.arch
-        assert loaded.num_classes == m.num_classes
-        assert loaded.feature_dim == m.feature_dim
-        assert loaded.noise == NOISY
-        assert loaded.mode == "eval"
-        assert set(loaded.params) == set(m.params)
-        for k in m.params:
-            assert loaded.params[k].dtype == np.float64
-            assert loaded.params[k].tobytes() == m.params[k].tobytes()
-        assert extras["bank/eta"].tobytes() == extra["bank/eta"].tobytes()
-        x = small_input(kind)
-        assert m.eval().forward(x)[1].tobytes() == loaded.forward(x)[1].tobytes()
+        built = small_model(kind, seed=12, noise=NOISY)
+        for m in (built, float64_copy(built)):
+            path = tmp_path / f"{kind}-{m.dtype}.ckpt"
+            save_checkpoint(path, m, extra)
+            assert path.read_bytes()[:8] == b"RMLCKPT3"
+            loaded, extras = load_checkpoint(path)
+            assert loaded.arch == m.arch
+            assert loaded.num_classes == m.num_classes
+            assert loaded.feature_dim == m.feature_dim
+            assert loaded.noise == NOISY
+            assert loaded.mode == "eval"
+            assert set(loaded.params) == set(m.params)
+            for k in m.params:
+                assert loaded.params[k].dtype == m.params[k].dtype
+                assert loaded.params[k].tobytes() == m.params[k].tobytes()
+            assert extras["bank/eta"].dtype == np.float64
+            assert extras["bank/eta"].tobytes() == extra["bank/eta"].tobytes()
+            x = small_input(kind)
+            assert m.eval().forward(x)[1].tobytes() == loaded.forward(x)[1].tobytes()
+    # a float32 model's params take 4 bytes an entry on disk
+    f32, f64 = (tmp_path / f"attn-{t}.ckpt" for t in ("float32", "float64"))
+    numel = sum(w.size for w in built.params.values())
+    assert f64.stat().st_size - f32.stat().st_size == 4 * numel
 
 
 def test_v1_checkpoint_is_rejected_as_an_older_format(tmp_path):
-    # RMLCKPT1 stored no noise and f32 params, so it cannot give back the saved model
+    # RMLCKPT1 stored no noise and RMLCKPT2 no dtypes, so neither can give
+    # back the saved model
     m = small_model("cnn", seed=12)
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, m)
-    path.write_bytes(b"RMLCKPT1" + path.read_bytes()[8:])
-    with pytest.raises(FormatError, match="older RMLCKPT1 format.*train the run again"):
+    blob = path.read_bytes()
+    for magic in ("RMLCKPT1", "RMLCKPT2"):
+        path.write_bytes(magic.encode() + blob[8:])
+        with pytest.raises(FormatError, match=f"older {magic} format.*train the run again"):
+            load_checkpoint(path)
+
+
+def tensor_offset(blob: bytes, name: str) -> int:
+    """Offset of a tensor record (its name length) in a checkpoint."""
+    return blob.index(name.encode()) - 4
+
+
+def rewrite_tensor(path, name: str, new_name: str | None = None, array=None) -> None:
+    """Rename a checkpoint's tensor or replace its array, keeping every other byte."""
+    blob = path.read_bytes()
+    at = tensor_offset(blob, name)
+    head = at + 4 + len(name)   # dtype code, ndim, dims, data
+    code, ndim = struct.unpack_from("<BI", blob, head)
+    dims = struct.unpack_from(f"<{ndim}I", blob, head + 5)
+    end = head + 5 + 4 * ndim + int(np.prod(dims)) * (4 if code == 0x0D else 8)
+    body = blob[head:end] if array is None else (
+        struct.pack(f"<BI{array.ndim}I", 0x0D if array.dtype == np.float32 else 0x0E,
+                    array.ndim, *array.shape)
+        + array.astype(array.dtype.newbyteorder("<")).tobytes())
+    new = (new_name or name).encode()
+    path.write_bytes(blob[:at] + struct.pack("<I", len(new)) + new + body + blob[end:])
+
+
+@pytest.mark.parametrize("fault, match", [
+    (dict(new_name="param/block1_x"), "has params"),
+    (dict(array=np.zeros((30, 3), np.float32)), "block1_w .* has shape \\(30, 3\\)"),
+    (dict(array=np.zeros((27, 3), np.float64)), "mixes param dtypes"),
+], ids=["renamed", "30 rows", "float64"])
+def test_checkpoint_params_must_fit_their_model(tmp_path, fault, match):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, small_model("cnn", seed=12))
+    rewrite_tensor(path, "param/block1_w", **fault)
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_dtype_code_is_a_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, small_model("cnn", seed=12))
+    blob = bytearray(path.read_bytes())
+    at = tensor_offset(blob, "param/block1_b") + 4 + len("param/block1_b")
+    assert blob[at] == 0x0D
+    blob[at] = 0x0C   # int32 in IDX, not a checkpoint dtype
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"unknown dtype code 0x0c .* offset {at}"):
         load_checkpoint(path)
 
 

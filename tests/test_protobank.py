@@ -139,7 +139,8 @@ def test_init_bank_matches_brute_force():
     # brute force: labeled pixels by gt, unlabeled pixels by model argmax
     fl, _ = model.forward(labeled.images.astype(np.float64))
     fu, lu = model.forward(unlabeled.images.astype(np.float64))
-    feats = np.concatenate([fl.reshape(-1, 4), fu.reshape(-1, 4)])
+    # the bank sums the model's float32 features in float64
+    feats = np.concatenate([fl.reshape(-1, 4), fu.reshape(-1, 4)]).astype(np.float64)
     assign = np.concatenate([labeled.labels.ravel(), lu.argmax(-1).ravel()])
     for k in range(3):
         if (assign == k).any():

@@ -16,6 +16,8 @@ from rml_lab.rectify import (
 )
 from rml_lab.trainer import ModelQuad, RmlConfig, _mix_halves, pseudo_labels
 
+from oracles import float64_copy
+
 POLICY = AugmentPolicy(weak_strength=0.0, strong_strength=1.0)
 
 
@@ -30,7 +32,7 @@ def rand_probs(rng, shape):
 
 
 def test_teacher_predict_probabilities_and_determinism():
-    teacher = build_model("mlp", K=3, C=4, seed=0, in_channels=2).eval()
+    teacher = float64_copy(build_model("mlp", K=3, C=4, seed=0, in_channels=2)).eval()
     x = np.random.default_rng(0).random((2, 1, 1, 2))
     f1, p1 = teacher_predict(teacher, x, POLICY, np.random.default_rng(1))
     f2, p2 = teacher_predict(teacher, x, POLICY, np.random.default_rng(2))

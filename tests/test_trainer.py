@@ -24,7 +24,7 @@ from rml_lab.trainer import (
     unlabeled_step,
 )
 
-from oracles import cross_entropy
+from oracles import cross_entropy, float64_copy
 
 K = 4
 
@@ -55,6 +55,12 @@ def clone_quad(quad: ModelQuad) -> ModelQuad:
         [t.clone() for t in quad.teachers],
         [None if b is None else b.copy() for b in quad.banks],
     )
+
+
+def float64_quad(quad: ModelQuad) -> ModelQuad:
+    """The quad with float64 copies of its models, for the float64 loss oracles."""
+    return ModelQuad([float64_copy(s) for s in quad.students],
+                     [float64_copy(t) for t in quad.teachers], quad.banks)
 
 
 def make_rngs(seed=5):
@@ -155,6 +161,7 @@ def test_labeled_step_loss_matches_direct_ce(shapes_data):
     cfg = tiny_cfg(noise_model=False, weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
     quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
+    quad = float64_quad(quad)
     frozen = clone_quad(quad)
     x, y = labeled.images[:4], labeled.labels[:4]
     losses = labeled_step(quad, x, y, cfg, lr=0.05, k=K,
@@ -327,6 +334,7 @@ def test_four_term_loss_oracle(shapes_data):
                    weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
     quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
+    quad = float64_quad(quad)
     frozen = clone_quad(quad)
     b1, b2 = unlabeled_batches(unlabeled)
     rngs = make_rngs(seed=7)
@@ -361,6 +369,7 @@ def test_direct_ml_uses_cross_terms_only(shapes_data):
                    weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
     quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
+    quad = float64_quad(quad)
     frozen = clone_quad(quad)
     b1, b2 = unlabeled_batches(unlabeled)
     losses, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K,
