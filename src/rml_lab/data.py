@@ -148,6 +148,8 @@ def generate_shapes_dataset(n: int, h: int, w: int, k: int, rare_class_freq: flo
     """
     if k < 3:
         raise ConfigError(f"shapes dataset needs K >= 3, got {k}")
+    if min(h, w) < 8:  # a common shape's radius is drawn from [2, 0.28 * side)
+        raise ConfigError(f"shapes images need sides >= 8, got {h}x{w}")
     if not 0.0 < rare_class_freq < 0.5:
         raise ConfigError(f"rare_class_freq out of (0,0.5): {rare_class_freq}")
     rng = np.random.default_rng(seed)

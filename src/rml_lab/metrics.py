@@ -8,8 +8,9 @@ from .errors import InputError
 
 
 def _check_prob(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < -1e-9) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-4):
+    p = np.asarray(p)
+    if (float(p.min(initial=0.0)) < -1e-9
+            or np.any(np.abs(p.sum(axis=-1, dtype=np.float64) - 1.0) > 1e-4)):
         raise InputError(f"{name} is not a valid probability tensor")
     return p
 
@@ -20,7 +21,7 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = _check_prob(q, "q")
     if p.shape != q.shape:
         raise InputError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return float(0.5 * np.abs(p - q).sum(axis=-1).mean())
+    return float(0.5 * np.abs(np.subtract(p, q, dtype=np.float64)).sum(axis=-1).mean())
 
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, k: int) -> np.ndarray:

@@ -41,17 +41,16 @@ over the whole batch for every architecture (see tests/test_netcore.py).
 Train-mode forwards are not chunked, so their random draws are unchanged.
 
 A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
-matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights, so each
-output sums its K=9*Ci products in one BLAS reduction. The backward keeps
-that matrix for ``dw``, takes the input gradient from one whole
-``dy @ w.T`` matmul and adds its 9 taps onto the unpadded input gradient in
-(di, dj) order; the stem conv computes no input gradient, since nothing
-uses it. Both matmuls stay whole on purpose: BLAS picks its kernel by
-matrix shape, and splitting ``dy @ w.T`` into one narrow matmul per tap
-changed the bits of ``dx`` in 193 of 750 shapes tried on OpenBLAS 0.3.31
-(every shape with ``Ci=1``, most with ``Co=32``). A shift-and-accumulate
-conv would likewise reorder the K=9*Ci reduction. Kept whole, training is
-bitwise equal to the im2col/col2im reference in tests/test_netcore.py.
+matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
+backward keeps that matrix for ``dw``. The input gradient is itself a 3x3
+conv: of ``dy`` with the kernel flipped in both taps and transposed in its
+channels, so it is one im2col of ``dy`` and one matmul, with no strided
+per-tap adds; the stem conv computes none, since nothing uses it. It sums
+in another order than the im2col/col2im reference in tests/test_netcore.py,
+which holds it to a stated tolerance. A shift-and-accumulate conv (nine
+shifted matmuls, never building the patch matrix) measured no faster than
+im2col at batch 4 to 64. Bias gradients are column sums taken as one
+BLAS product with a ones vector.
 """
 
 from __future__ import annotations
@@ -279,31 +278,24 @@ def _conv3(x, w, b):
     return y.reshape(n, h, wd, -1), cols
 
 
+def _col_sums(a):
+    """Column sums as one BLAS product, several times faster than ``a.sum(axis=0)``."""
+    return np.ones(a.shape[0], a.dtype) @ a
+
+
 def _conv3_grads(dy, cols):
     """Weight and bias gradients of :func:`_conv3` from its patch matrix."""
     dy2 = dy.reshape(-1, dy.shape[-1])
     dw = cols.reshape(dy2.shape[0], -1).T @ dy2
-    return dw, dy2.sum(axis=0)
-
-
-# along rows or columns, tap d of output pixel i reads input pixel i + d - 1;
-# per tap, the input-gradient slice it adds to and the output slice it adds
-_DX_SLICE = (slice(None, -1), slice(None), slice(1, None))
-_DY_SLICE = (slice(1, None), slice(None), slice(None, -1))
+    return dw, _col_sums(dy2)
 
 
 def _conv3_dx(dy, w):
-    """Input gradient of :func:`_conv3`: the 9 taps of ``dy @ w.T`` summed
-    in (di, dj) order onto a zeroed ``(N,H,W,Ci)`` array."""
-    n, h, wd, co = dy.shape
+    """Input gradient of :func:`_conv3`: the 3x3 same-padding conv of ``dy``
+    with the kernel flipped in both taps and transposed in its channels."""
     ci = w.shape[0] // 9
-    dcols = (dy.reshape(-1, co) @ w.T).reshape(n, h, wd, 3, 3, ci)
-    dx = np.zeros((n, h, wd, ci), dcols.dtype)
-    for di in range(3):
-        for dj in range(3):
-            dx[:, _DX_SLICE[di], _DX_SLICE[dj]] += (
-                dcols[:, _DY_SLICE[di], _DY_SLICE[dj], di, dj])
-    return dx
+    wf = w.reshape(3, 3, ci, -1)[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, ci)
+    return (_im2col3(dy).reshape(-1, wf.shape[0]) @ wf).reshape(*dy.shape[:-1], ci)
 
 
 def _pixelwise(x, w, b):
@@ -316,23 +308,33 @@ def _pixelwise_back(dy, x, w):
     ci = x.shape[-1]
     x2 = x.reshape(-1, ci)
     dy2 = dy.reshape(-1, dy.shape[-1])
-    return (dy2 @ w.T).reshape(x.shape), x2.T @ dy2, dy2.sum(axis=0)
+    return (dy2 @ w.T).reshape(x.shape), x2.T @ dy2, _col_sums(dy2)
 
 
-def _softmax_last(z: np.ndarray) -> np.ndarray:
-    zs = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(zs)
+def class_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1, keepdims=True)`` as ``np.maximum`` over the K columns,
+    several times faster for few classes (attention's 64 tokens are not). Same
+    bits, NaN included, but for the sign of a max where +0 and -0 tie."""
+    out = z[..., :1].copy()
+    for k in range(1, z.shape[-1]):
+        np.maximum(out, z[..., k:k + 1], out=out)
+    return out
+
+
+def _softmax_last(z: np.ndarray, zmax: np.ndarray) -> np.ndarray:
+    e = np.exp(z - zmax)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the class (last) axis, in the logits' dtype."""
-    return _softmax_last(np.asarray(logits))
+    z = np.asarray(logits)
+    return _softmax_last(z, class_max(z))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits)
-    zs = z - z.max(axis=-1, keepdims=True)
+    zs = z - class_max(z)
     return zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
 
 
@@ -380,7 +382,7 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
         v = emb @ p["v_w"]
         scale = float(1.0 / np.sqrt(m.feature_dim))  # a numpy f64 scalar would promote
         scores = np.matmul(q, k.transpose(0, 2, 1)) * scale
-        attn = _softmax_last(scores)
+        attn = _softmax_last(scores, scores.max(axis=-1, keepdims=True))
         ctx = np.matmul(attn, v)
         out = ctx @ p["out_w"] + p["out_b"]
         gate = _sd_gate(m, n, rng)[:, :, :, 0]  # (n,1,1), broadcasts over tokens
@@ -434,7 +436,7 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
         fdrop = cache["fdrop"]
         dy2 = dlog_tok.reshape(-1, m.num_classes)
         g["head_w"] = fdrop.reshape(-1, m.feature_dim).T @ dy2
-        g["head_b"] = dy2.sum(axis=0)
+        g["head_b"] = _col_sums(dy2)
         dfdrop = dlog_tok @ p["head_w"].T
         dz = dfdrop if cache["dmask"] is None else dfdrop * cache["dmask"]
         demb = dz.copy()
@@ -442,7 +444,7 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
         ctx2 = cache["ctx"].reshape(-1, m.feature_dim)
         dout2 = dout.reshape(-1, m.feature_dim)
         g["out_w"] = ctx2.T @ dout2
-        g["out_b"] = dout2.sum(axis=0)
+        g["out_b"] = _col_sums(dout2)
         dctx = dout @ p["out_w"].T
         dattn = np.matmul(dctx, cache["v"].transpose(0, 2, 1))
         dv = np.matmul(cache["attn"].transpose(0, 2, 1), dctx)
@@ -458,7 +460,7 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
         tok2 = cache["tokens"].reshape(-1, cache["tokens"].shape[-1])
         demb2 = demb.reshape(-1, m.feature_dim)
         g["embed_w"] = tok2.T @ demb2
-        g["embed_b"] = demb2.sum(axis=0)
+        g["embed_b"] = _col_sums(demb2)
     return g
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StateError
+from .netcore import class_max
 
 
 @dataclass
@@ -145,7 +146,7 @@ def confidence_weights(features: np.ndarray, bank: PrototypeBank) -> np.ndarray:
     dist = np.sqrt(np.clip(d2, 0.0, None))
     logits = -dist + np.log(bank.pi)
     logits[:, ~bank.seen] = -np.inf
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= class_max(logits)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
     return w.reshape(*lead, bank.num_classes)

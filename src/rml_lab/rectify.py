@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import photometric
 from .errors import InputError, StateError
-from .netcore import softmax
+from .netcore import class_max, softmax
 from .protobank import confidence_weights
 
 # SoftPrediction is a plain (N,H,W,K) probability array; OneHotMap wraps the
@@ -82,7 +82,7 @@ def harden_with_threshold(p: np.ndarray, tau: float) -> OneHotMap:
     k = p.shape[-1]
     labels = p.argmax(axis=-1)
     onehot = np.eye(k)[labels]
-    valid = (p.max(axis=-1) > tau).astype(np.float64)
+    valid = (class_max(p)[..., 0] > tau).astype(np.float64)
     return OneHotMap(onehot, valid)
 
 
@@ -108,7 +108,7 @@ def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, i
     safe_norm = np.where(dead, 1.0, norm)
     rect = prod / safe_norm[..., None]
     labels = np.where(dead, p0.argmax(axis=-1), prod.argmax(axis=-1))
-    conf = np.where(dead, p0.max(axis=-1), rect.max(axis=-1))
+    conf = np.where(dead, class_max(p0)[..., 0], class_max(rect)[..., 0])
     onehot = np.eye(k)[labels]
     valid = (conf > tau).astype(np.float64)
     return OneHotMap(onehot, valid), fallback

@@ -133,6 +133,17 @@ def test_gen_data_deterministic_hashes(tmp_path, capsys):
     assert h1 != h3
 
 
+@pytest.mark.parametrize("size", [7, 1, -3])
+def test_gen_data_too_small_shapes_is_one_config_error(tmp_path, capsys, size):
+    out = tmp_path / "data"
+    rc = cli.main(["gen-data", "--dataset", "shapes", "--out", str(out),
+                   "--size", str(size)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:config:") and ">= 8" in err[0]
+    assert not out.exists()
+
+
 def quick_train_blob(data_dir, out_dir):
     return {
         "dataset": "shapes", "data_dir": str(data_dir), "out_dir": str(out_dir),

@@ -62,6 +62,17 @@ def test_tv_shape_mismatch():
         tv_distance(np.full((1, 1, 1, 2), 0.5), np.full((1, 1, 1, 3), 1 / 3))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tv_equals_the_float64_copy_formula_bit_for_bit(dtype):
+    # the run logs tv_teachers and tv_students from float32 soft predictions
+    rng = np.random.default_rng(11)
+    p, q = (rng.random((5, 8, 8, 6)) for _ in range(2))
+    p, q = ((a / a.sum(axis=-1, keepdims=True)).astype(dtype) for a in (p, q))
+    p64, q64 = p.astype(np.float64), q.astype(np.float64)
+    want = float(0.5 * np.abs(p64 - q64).sum(axis=-1).mean())
+    assert repr(tv_distance(p, q)) == repr(want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_tv_metric_axioms(seed):
