@@ -8,7 +8,6 @@ rectangles of half the image area, fully contained in the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -16,59 +15,36 @@ import numpy as np
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class AugmentPolicy:
-    """Strengths for the weak/strong photometric perturbations.
+# magnitudes at strength 1; photometric scales each by its strength
+CONTRAST = 0.5
+BRIGHTNESS = 0.25
+NOISE_SIGMA = 0.08
 
-    At strength ``s`` the ops draw, per image: contrast factor in
-    ``1 ± s*contrast``, brightness shift in ``± s*brightness``, then add
-    per-pixel Gaussian noise with sigma ``s*noise_sigma`` (in that order).
-    Strength 0 is the exact identity.
+
+def photometric(x: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray:
+    """Photometric perturbation of an image batch at strength ``s``.
+
+    Draws, in this order, a contrast factor ``c ~ U(1 - s*CONTRAST,
+    1 + s*CONTRAST)`` and a brightness shift ``b ~ U(-s*BRIGHTNESS,
+    s*BRIGHTNESS)`` per image, then per-pixel noise ``e ~ N(0, s*NOISE_SIGMA)``,
+    and returns ``clip(0.5 + (x - 0.5)*c + b + e, 0, 1)``. Strength 0 is the
+    exact identity and draws nothing.
     """
-
-    weak_strength: float = 0.2
-    strong_strength: float = 1.0
-    brightness: float = 0.25
-    contrast: float = 0.5
-    noise_sigma: float = 0.08
-
-    def strength(self, level: str) -> float:
-        if level == "weak":
-            return self.weak_strength
-        if level == "strong":
-            return self.strong_strength
-        raise InputError(f"level must be 'weak' or 'strong', got {level!r}")
-
-
-@dataclass(frozen=True)
-class CutMixMask:
-    """Binary rectangle mask; 1 inside ``rect = (top, left, height, width)``."""
-
-    m: np.ndarray
-    rect: tuple[int, int, int, int]
-
-
-def photometric(x: np.ndarray, policy: AugmentPolicy, level: str,
-                rng: np.random.Generator) -> np.ndarray:
-    """Photometric perturbation of an image batch; output clamped to [0,1]."""
     x = np.asarray(x, dtype=np.float64)
-    s = policy.strength(level)
     if s == 0.0:
         return x.copy()
     n = x.shape[0]
     extra = (1,) * (x.ndim - 1)
-    contrast = rng.uniform(1.0 - s * policy.contrast, 1.0 + s * policy.contrast,
-                           size=(n,) + extra)
-    brightness = rng.uniform(-s * policy.brightness, s * policy.brightness,
-                             size=(n,) + extra)
+    contrast = rng.uniform(1.0 - s * CONTRAST, 1.0 + s * CONTRAST, size=(n,) + extra)
+    brightness = rng.uniform(-s * BRIGHTNESS, s * BRIGHTNESS, size=(n,) + extra)
     y = 0.5 + (x - 0.5) * contrast + brightness
-    if policy.noise_sigma > 0:
-        y = y + rng.normal(0.0, s * policy.noise_sigma, size=x.shape)
+    y = y + rng.normal(0.0, s * NOISE_SIGMA, size=x.shape)
     return np.clip(y, 0.0, 1.0)
 
 
-def sample_rect_mask(h_img: int, w_img: int, rng: np.random.Generator) -> CutMixMask:
-    """Sample a half-area rectangle mask, position uniform over valid placements.
+def sample_rect_mask(h_img: int, w_img: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample an ``(H,W)`` half-area rectangle mask, 1 inside the rectangle;
+    position uniform over valid placements.
 
     Height is uniform over the feasible range and width is ``round(area/h)``,
     so the mask sum matches ``round(0.5*H*W)`` up to integer rounding.
@@ -83,12 +59,12 @@ def sample_rect_mask(h_img: int, w_img: int, rng: np.random.Generator) -> CutMix
     left = int(rng.integers(0, w_img - w + 1))
     m = np.zeros((h_img, w_img))
     m[top:top + h, left:left + w] = 1.0
-    return CutMixMask(m=m, rect=(top, left, h, w))
+    return m
 
 
 def _mask_array(m, hw: tuple[int, int], what: str) -> np.ndarray:
     """Validate an (H,W) or (N,H,W) mask against a target spatial shape."""
-    mm = m.m if isinstance(m, CutMixMask) else np.asarray(m, dtype=np.float64)
+    mm = np.asarray(m, dtype=np.float64)
     if mm.ndim not in (2, 3) or mm.shape[-2:] != hw:
         raise InputError(f"mask shape {mm.shape} does not match {what} {hw}")
     return mm

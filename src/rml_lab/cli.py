@@ -28,7 +28,7 @@ from .data import (
     save_dataset,
     save_split,
 )
-from .errors import ConfigError, RmlError, StateError
+from .errors import ConfigError, FormatError, RmlError, StateError
 from .metrics import segmentation_scores
 from .netcore import load_checkpoint
 from .trainer import RmlConfig, run_rml, soft_predictions
@@ -102,10 +102,12 @@ class OutputLock:
 def cmd_gen_data(args) -> int:
     out = Path(args.out)
     if args.dataset == "shapes":
-        n, ne = args.n or SHAPES_SPEC["n_train"], args.n_eval or SHAPES_SPEC["n_eval"]
-        h = w = args.size or SHAPES_SPEC["h"]
-        k = args.k or SHAPES_SPEC["k"]
-        rare = args.rare_freq or SHAPES_SPEC["rare_freq"]
+        # a flag not given is None; 0 is a value, which the generator checks
+        n = SHAPES_SPEC["n_train"] if args.n is None else args.n
+        ne = SHAPES_SPEC["n_eval"] if args.n_eval is None else args.n_eval
+        h = w = SHAPES_SPEC["h"] if args.size is None else args.size
+        k = SHAPES_SPEC["k"] if args.k is None else args.k
+        rare = SHAPES_SPEC["rare_freq"] if args.rare_freq is None else args.rare_freq
         train = generate_shapes_dataset(n, h, w, k, rare, seed=args.seed)
         ev = generate_shapes_dataset(ne, h, w, k, rare, seed=args.seed + 1_000_003)
         meta = {"dataset": "shapes", "num_classes": k, "source": "synthetic-shapes",
@@ -117,8 +119,8 @@ def cmd_gen_data(args) -> int:
         else:
             print("warning: no --mnist-dir with real MNIST IDX files; "
                   "generating the synthetic digits stand-in", file=sys.stderr)
-            n = args.n or MNIST_TRAIN
-            ne = args.n_eval or MNIST_EVAL
+            n = MNIST_TRAIN if args.n is None else args.n
+            ne = MNIST_EVAL if args.n_eval is None else args.n_eval
             train = generate_digits_dataset(n, seed=args.seed)
             ev = generate_digits_dataset(ne, seed=args.seed + 1_000_003)
             source = "synthetic-digits"
@@ -215,6 +217,8 @@ def _flatten_record(rec: dict) -> dict:
 def emit_curves(metrics_dir, out_dir=None) -> tuple[int, int]:
     """JSON-lines metrics -> one CSV per series. Returns (n_series, n_warnings)."""
     metrics_dir = Path(metrics_dir)
+    if not metrics_dir.is_dir():
+        raise FormatError(f"metrics path {metrics_dir} is not a directory")
     out_dir = Path(out_dir) if out_dir else metrics_dir / "curves"
     series: dict[str, dict[int, float]] = {}
     warnings = 0
@@ -261,13 +265,13 @@ def _preset_cfg(dataset: str, data_dir, out_dir, **train_kw) -> ExperimentConfig
                             out_dir=str(out_dir), train=RmlConfig(**train_kw)).validate()
 
 
-def _ensure_data(dataset: str, data_dir, seed: int, mnist_dir=None) -> Path:
+def _ensure_data(dataset: str, data_dir, seed: int) -> Path:
     data_dir = Path(data_dir)
     if (data_dir / "images.idx").exists():
         return data_dir
     args = argparse.Namespace(dataset=dataset, out=str(data_dir), seed=seed,
                               n=None, n_eval=None, size=None, k=None,
-                              rare_freq=None, mnist_dir=mnist_dir)
+                              rare_freq=None, mnist_dir=None)
     cmd_gen_data(args)
     return data_dir
 
@@ -321,6 +325,7 @@ def _shapes_run(out, data_dir, seed, **overrides) -> dict:
     return run_training(cfg, out)
 
 
+ABLATION_SEEDS = 3
 ABLATION_ROWS = {
     "supervised": dict(variant="supervised", stages=1),
     "iml": dict(variant="iml", stages=1, noise_input=False, noise_model=False),
@@ -330,13 +335,12 @@ ABLATION_ROWS = {
 }
 
 
-def preset_ablation_table(out: Path, data: Path | None, seed: int,
-                          seeds: int = 3) -> dict:
+def preset_ablation_table(out: Path, data: Path | None, seed: int) -> dict:
     data_dir = _ensure_data("shapes", data or out / "data", seed=777)
     table: dict[str, dict] = {}
     for row, overrides in ABLATION_ROWS.items():
         runs = []
-        for s in range(seeds):
+        for s in range(ABLATION_SEEDS):
             run_out = out / row / f"seed{s}"
             _log(f"ablation-table: {row} seed {s}")
             summary = _shapes_run(run_out, data_dir, seed + s, **overrides)

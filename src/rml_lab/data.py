@@ -90,13 +90,11 @@ class Dataset:
 class DatasetSplit:
     labeled: np.ndarray
     unlabeled: np.ndarray
-    eval_ids: np.ndarray
     fraction: float
     seed: int
 
 
-def make_split(n_train: int, fraction: float, seed: int,
-               eval_ids: np.ndarray | None = None) -> DatasetSplit:
+def make_split(n_train: int, fraction: float, seed: int) -> DatasetSplit:
     """Uniform labeled/unlabeled partition of ``range(n_train)``."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"labeled fraction out of (0,1]: {fraction}")
@@ -106,9 +104,7 @@ def make_split(n_train: int, fraction: float, seed: int,
     perm = np.random.default_rng(seed).permutation(n_train)
     labeled = np.sort(perm[:n_labeled])
     unlabeled = np.sort(perm[n_labeled:])
-    return DatasetSplit(labeled, unlabeled,
-                        np.asarray(eval_ids if eval_ids is not None else [], dtype=np.int64),
-                        fraction, seed)
+    return DatasetSplit(labeled, unlabeled, fraction, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +134,16 @@ def class_palette(k: int) -> np.ndarray:
 
 
 def generate_shapes_dataset(n: int, h: int, w: int, k: int, rare_class_freq: float,
-                            seed: int, noise_sigma: float = 0.06) -> Dataset:
+                            seed: int) -> Dataset:
     """Colored shapes on a dark background with per-pixel labels.
 
     Each image gets a global lighting draw (gain and shift shared by all
     pixels), 1-3 common shapes from classes ``1..k-2`` and, with probability
     ``rare_class_freq``, one small shape of the rare last class. Pixel color
-    carries the class signal; lighting and noise keep it non-trivial.
+    carries the class signal; lighting and noise (sigma 0.06) keep it non-trivial.
     """
+    if n < 1:
+        raise ConfigError(f"a dataset needs n >= 1 images, got {n}")
     if k < 3:
         raise ConfigError(f"shapes dataset needs K >= 3, got {k}")
     if min(h, w) < 8:  # a common shape's radius is drawn from [2, 0.28 * side)
@@ -180,7 +178,7 @@ def generate_shapes_dataset(n: int, h: int, w: int, k: int, rare_class_freq: flo
             img[inside] = palette[cls]
             label[inside] = cls
         img = img * gain + shift
-        img += rng.normal(0.0, noise_sigma, size=img.shape)
+        img += rng.normal(0.0, 0.06, size=img.shape)
         images[i] = np.clip(img, 0.0, 1.0)
         labels[i] = label
     return Dataset(images.astype(np.float32), labels, np.arange(n, dtype=np.int64))
@@ -218,6 +216,8 @@ def generate_digits_dataset(n: int, seed: int) -> Dataset:
     Procedural stand-in for MNIST: fixed 7x5 glyphs upsampled, jittered,
     rotated, blurred and noised. Deterministic in ``seed``.
     """
+    if n < 1:
+        raise ConfigError(f"a dataset needs n >= 1 images, got {n}")
     rng = np.random.default_rng(seed)
     glyphs = _glyph_bitmaps()
     big = glyphs.repeat(3, axis=1).repeat(3, axis=2)  # (10, 21, 15)
@@ -307,7 +307,7 @@ def save_split(datadir, split: DatasetSplit) -> Path:
         "seed": split.seed,
         "labeled": split.labeled.tolist(),
         "unlabeled": split.unlabeled.tolist(),
-        "eval": split.eval_ids.tolist(),
+        "eval": [],
     }, indent=2) + "\n")
     return path
 

@@ -52,19 +52,15 @@ def segmentation_scores(pred: np.ndarray, gt: np.ndarray, k: int):
     return conf, iou, miou, pixel_acc
 
 
-def pseudo_accuracy(pseudo, gt: np.ndarray, valid: np.ndarray | None = None):
-    """Fraction of valid pixels whose pseudo class matches the ground truth.
-
-    ``pseudo`` is either an integer label map or a one-hot ``(...,K)``
-    tensor. Returns ``None`` when every pixel is gated out.
+def pseudo_accuracy(labels: np.ndarray, gt: np.ndarray, valid: np.ndarray):
+    """Fraction of valid pixels whose pseudo class in the integer label map
+    ``labels`` matches the ground truth. Returns ``None`` when every pixel is
+    gated out.
     """
-    pseudo = np.asarray(pseudo)
+    labels = np.asarray(labels)
     gt = np.asarray(gt)
-    labels = pseudo.argmax(axis=-1) if pseudo.ndim == gt.ndim + 1 else pseudo
     if labels.shape != gt.shape:
         raise InputError(f"shape mismatch: {labels.shape} vs {gt.shape}")
-    if valid is None:
-        valid = np.ones(gt.shape)
     valid = np.asarray(valid, dtype=bool)
     n = valid.sum()
     if n == 0:

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import InputError, StateError
 from .netcore import class_max
 
+INIT_BATCH = 64   # images per forward when init_bank computes its prototypes
+
 
 @dataclass
 class PrototypeBank:
@@ -76,7 +78,7 @@ def batch_prototypes(features: np.ndarray, assign: np.ndarray, k: int):
     return sums, present
 
 
-def update_bank(bank: PrototypeBank, eta_prime: np.ndarray, present: np.ndarray) -> PrototypeBank:
+def update_bank(bank: PrototypeBank, eta_prime: np.ndarray, present: np.ndarray) -> None:
     """Momentum update in place: ``eta_k <- lam*eta_k + (1-lam)*eta_prime_k``.
 
     Rows first observed now are adopted outright instead of being dragged
@@ -87,11 +89,9 @@ def update_bank(bank: PrototypeBank, eta_prime: np.ndarray, present: np.ndarray)
     old = present & bank.seen
     bank.eta[old] = bank.lam * bank.eta[old] + (1.0 - bank.lam) * eta_prime[old]
     bank.seen |= present
-    return bank
 
 
-def init_bank(model, labeled, unlabeled, k: int, lam: float,
-              batch: int = 64) -> PrototypeBank:
+def init_bank(model, labeled, unlabeled, k: int, lam: float) -> PrototypeBank:
     """Ideal (non-momentum) prototypes from a trained model over L and U.
 
     Labeled pixels contribute under their ground-truth class; unlabeled
@@ -103,11 +103,9 @@ def init_bank(model, labeled, unlabeled, k: int, lam: float,
     parts = []
     try:
         for ds, use_gt in ((labeled, True), (unlabeled, False)):
-            if ds is None or len(ds) == 0:
-                continue
-            for start in range(0, len(ds), batch):
-                feats, logits = model.forward(ds.images[start:start + batch])
-                assign = (ds.labels[start:start + batch] if use_gt
+            for start in range(0, len(ds), INIT_BATCH):
+                feats, logits = model.forward(ds.images[start:start + INIT_BATCH])
+                assign = (ds.labels[start:start + INIT_BATCH] if use_gt
                           else logits.argmax(axis=-1))
                 parts.append(_class_sums(feats, assign, k))
     finally:
@@ -152,20 +150,20 @@ def confidence_weights(features: np.ndarray, bank: PrototypeBank) -> np.ndarray:
     return w.reshape(*lead, bank.num_classes)
 
 
-def bank_tensors(bank: PrototypeBank, prefix: str = "bank") -> dict[str, np.ndarray]:
+def bank_tensors(bank: PrototypeBank) -> dict[str, np.ndarray]:
     """Named tensors for embedding a bank in a checkpoint."""
     return {
-        f"{prefix}/eta": bank.eta,
-        f"{prefix}/pi": bank.pi,
-        f"{prefix}/seen": bank.seen.astype(np.float64),
-        f"{prefix}/lambda": np.array([bank.lam]),
+        "bank/eta": bank.eta,
+        "bank/pi": bank.pi,
+        "bank/seen": bank.seen.astype(np.float64),
+        "bank/lambda": np.array([bank.lam]),
     }
 
 
-def bank_from_tensors(tensors: dict[str, np.ndarray], prefix: str = "bank") -> PrototypeBank:
+def bank_from_tensors(tensors: dict[str, np.ndarray]) -> PrototypeBank:
     return PrototypeBank(
-        eta=np.asarray(tensors[f"{prefix}/eta"], dtype=np.float64),
-        pi=np.asarray(tensors[f"{prefix}/pi"], dtype=np.float64),
-        seen=np.asarray(tensors[f"{prefix}/seen"]) > 0.5,
-        lam=float(tensors[f"{prefix}/lambda"][0]),
+        eta=np.asarray(tensors["bank/eta"], dtype=np.float64),
+        pi=np.asarray(tensors["bank/pi"], dtype=np.float64),
+        seen=np.asarray(tensors["bank/seen"]) > 0.5,
+        lam=float(tensors["bank/lambda"][0]),
     )

@@ -50,9 +50,6 @@ class StagePseudoStore:
         self.rows = {int(i): r for r, i in enumerate(np.asarray(ids).ravel())}
         self.stage = stage
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def get_batch(self, ids) -> np.ndarray:
         try:
             rows = [self.rows[int(i)] for i in np.asarray(ids).ravel()]
@@ -62,11 +59,13 @@ class StagePseudoStore:
         return self.p0[rows]
 
 
-def teacher_predict(teacher, x: np.ndarray, policy, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher features and softmax probabilities on weakly augmented input."""
+def teacher_predict(teacher, x: np.ndarray, weak_strength: float,
+                    rng) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher features and softmax probabilities on ``x`` perturbed at
+    ``weak_strength``."""
     if teacher.mode != "eval":
         raise StateError("teacher must be in eval mode")
-    xw = photometric(x, policy, "weak", rng)
+    xw = photometric(x, weak_strength, rng)
     feats, logits = teacher.forward(xw)
     return feats, softmax(logits)
 
@@ -115,15 +114,17 @@ def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, i
 
 
 def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
-                     policy, tau: float, rng,
+                     weak_strength: float, tau: float, rng,
                      confidence_source: str = "prototype") -> tuple[OneHotMap, np.ndarray, int]:
     """Denoise one unlabeled batch; returns ``(labels, teacher_feats, fallbacks)``.
+
+    The teacher sees ``x`` perturbed at ``weak_strength``.
 
     ``confidence_source="teacher_softmax"`` replaces the prototype weights
     with the teacher's own softmax output (ablation path).
     """
     p0 = store.get_batch(ids)
-    feats, probs = teacher_predict(teacher, x, policy, rng)
+    feats, probs = teacher_predict(teacher, x, weak_strength, rng)
     if confidence_source == "prototype":
         omega = confidence_weights(feats, bank)
     elif confidence_source == "teacher_softmax":

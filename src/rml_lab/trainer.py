@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .augment import (
-    AugmentPolicy,
     mix_images,
     mix_label_maps,
     mix_valid_masks,
@@ -120,21 +119,20 @@ class RmlConfig:
             if not lo <= v <= hi:
                 raise ConfigError(f"{name} out of range [{lo},{hi}]: {v}", name)
         for name in ("iterations", "stages", "batch_labeled", "batch_unlabeled",
-                     "baseline_iterations", "eval_interval", "hidden", "patch"):
+                     "baseline_iterations", "eval_interval", "eval_subset",
+                     "pseudo_subset", "hidden", "patch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1", name)
-        if self.lr < 0:
-            raise ConfigError(f"lr must be nonnegative: {self.lr}", "lr")
+        for name in ("lr", "weak_strength", "strong_strength"):
+            v = getattr(self, name)
+            if not 0 <= v < float("inf"):
+                raise ConfigError(f"{name} must be finite and nonnegative: {v}", name)
         if self.iterations % self.eval_interval:
             raise ConfigError("iterations must be a multiple of eval_interval", "eval_interval")
         if self.confidence_source not in ("prototype", "teacher_softmax"):
             raise ConfigError(f"unknown confidence_source {self.confidence_source!r}",
                               "confidence_source")
         return self
-
-    def policy(self) -> AugmentPolicy:
-        return AugmentPolicy(weak_strength=self.weak_strength,
-                             strong_strength=self.strong_strength)
 
     def model_noise(self) -> NoiseConfig:
         if not self.noise_model:
@@ -187,7 +185,6 @@ class MetricsRecord:
 @dataclass
 class RunResult:
     quad: ModelQuad | None
-    model: NetModel | None
     records: list
     summary: dict
 
@@ -250,11 +247,11 @@ def _sample(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return rng.choice(n, size=size, replace=n < size)
 
 
-def _supervised_step(model: NetModel, images, targets, policy, lr: float,
+def _supervised_step(model: NetModel, images, targets, weak_strength: float, lr: float,
                      rng_aug, rng_noise, what: str) -> float:
     """Weak augmentation, one cross-entropy term on ``targets``, one SGD step;
     ``what`` names the loss in the error if it is not finite."""
-    x = photometric(images, policy, "weak", rng_aug)
+    x = photometric(images, weak_strength, rng_aug)
     (loss,), grads = loss_and_gradients(model, x, [(targets, None)], rng=rng_noise)
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite {what}")
@@ -283,16 +280,14 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
     ss = np.random.SeedSequence([seed, 0xBA5E])
     rng_data, rng_aug, rng_noise = [np.random.default_rng(s) for s in ss.spawn(3)]
     model = _build_learner(cfg, arch_index, k, labeled.images, labeled.labels, seed)
-    policy = cfg.policy()
     targets = onehot_labels(labeled.labels, k)
     for it in range(cfg.baseline_iterations):
         idx = _sample(rng_data, len(labeled), cfg.batch_labeled)
         lr = poly_lr(cfg.lr, it, cfg.baseline_iterations, cfg.lr_power)
-        loss = _supervised_step(model, labeled.images[idx], targets[idx], policy, lr,
-                                rng_aug, rng_noise, f"baseline loss at iteration {it}")
+        loss = _supervised_step(model, labeled.images[idx], targets[idx], cfg.weak_strength,
+                                lr, rng_aug, rng_noise, f"baseline loss at iteration {it}")
         if records is not None and (it + 1) % cfg.eval_interval == 0:
-            miou, acc = (evaluate_model(model, eval_set, k, cfg.eval_subset)
-                         if eval_set is not None else (float("nan"), float("nan")))
+            miou, acc = evaluate_model(model, eval_set, k, cfg.eval_subset)
             records.append(MetricsRecord(
                 iteration=it + 1, stage=0, lr=lr,
                 loss_labeled=[loss], loss_unlabeled=None,
@@ -360,14 +355,13 @@ def labeled_step(quad: ModelQuad, images: np.ndarray, labels: np.ndarray,
                  cfg: RmlConfig, lr: float, k: int, rngs) -> list:
     """One supervised SGD step per student; teachers untouched."""
     targets = onehot_labels(labels, k)
-    policy = cfg.policy()
-    return [_supervised_step(student, images, targets, policy, lr, rngs[i], rngs[i],
-                             "labeled loss")
+    return [_supervised_step(student, images, targets, cfg.weak_strength, lr, rngs[i],
+                             rngs[i], "labeled loss")
             for i, student in enumerate(quad.students)]
 
 
 def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlConfig,
-                  policy, rng) -> tuple[OneHotMap, np.ndarray, int]:
+                  rng) -> tuple[OneHotMap, np.ndarray, int]:
     """Learner ``i``'s pseudo labels for one unlabeled batch, from the source
     its variant names (see the module docstring).
 
@@ -376,12 +370,12 @@ def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlC
     """
     if cfg.needs_rectification:
         return rectified_labels(quad.teachers[i], x, ids, quad.banks[i], stores[i],
-                                policy, cfg.tau, rng, cfg.confidence_source)
+                                cfg.weak_strength, cfg.tau, rng, cfg.confidence_source)
     model = quad.students[i] if cfg.variant == "direct_ml" else quad.teachers[i]
     was = model.mode
     model.eval()
     try:
-        feats, probs = teacher_predict(model, x, policy, rng)
+        feats, probs = teacher_predict(model, x, cfg.weak_strength, rng)
     finally:
         model.mode = was
     return harden_with_threshold(probs, cfg.tau), feats, 0
@@ -397,7 +391,7 @@ def _mix_halves(halves: list, masks) -> OneHotMap:
 
 
 def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
-                   lr: float, k: int, rngs: dict, labeled_batch=None):
+                   lr: float, k: int, rngs: dict, labeled_batch):
     """One mutual-learning step on an unlabeled pair.
 
     ``batch1``/``batch2`` are ``(images, ids)``; ``batch2`` may be ``None``
@@ -406,15 +400,15 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
     the CutMix masks. Every student trains on its peer's labels, plus its
     own unless the variant is direct_ml. Both learners' pseudo labels and
     gradients come from pre-step parameters; afterwards batch prototypes
-    update the banks and the teachers take their EMA step.
+    update the banks, from both halves and the ``labeled_batch``
+    ``(images, labels)``, and the teachers take their EMA step.
     Returns ``(per_student_losses, StepInfo)``.
     """
     batches = [batch1] if batch2 is None else [batch1, batch2]
-    policy = cfg.policy()
     x1 = batch1[0]
     if batch2 is not None:
         h, w = x1.shape[1:3]
-        mask_stack = np.stack([sample_rect_mask(h, w, rngs["mask"]).m
+        mask_stack = np.stack([sample_rect_mask(h, w, rngs["mask"])
                                for _ in range(len(x1))])
         x_mix = mix_images(x1, batch2[0], mask_stack)
     else:
@@ -422,13 +416,13 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
         x_mix = x1
 
     # per learner, one (labels, feats, fallback) per half
-    halves = [[pseudo_labels(quad, i, x, ids, stores, cfg, policy, rngs["teacher"][i])
+    halves = [[pseudo_labels(quad, i, x, ids, stores, cfg, rngs["teacher"][i])
                for x, ids in batches] for i in range(2)]
     labels = [_mix_halves([y for y, _, _ in hs], mask_stack) for hs in halves]
 
     losses, grads_list, info_terms, info_valid = [], [], [], []
     for i, student in enumerate(quad.students):
-        xs = (photometric(x_mix, policy, "strong", rngs["student"][i])
+        xs = (photometric(x_mix, cfg.strong_strength, rngs["student"][i])
               if cfg.noise_input else x_mix.copy())
         peer, own = labels[1 - i], labels[i]
         terms = [(peer.onehot, peer.valid)]
@@ -447,15 +441,14 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
         sgd_step(student, grads, lr)
 
     if cfg.needs_rectification and cfg.confidence_source == "prototype":
+        lx, ll = labeled_batch
         for i in range(2):
             fparts = [f.reshape(-1, f.shape[-1]) for _, f, _ in halves[i]]
             aparts = [y.labels.ravel() for y, _, _ in halves[i]]
-            if labeled_batch is not None:
-                lx, ll = labeled_batch
-                lf, _ = teacher_predict(quad.teachers[i], lx, policy,
-                                        rngs["teacher"][i])
-                fparts.append(lf.reshape(-1, lf.shape[-1]))
-                aparts.append(np.asarray(ll).ravel())
+            lf, _ = teacher_predict(quad.teachers[i], lx, cfg.weak_strength,
+                                    rngs["teacher"][i])
+            fparts.append(lf.reshape(-1, lf.shape[-1]))
+            aparts.append(np.asarray(ll).ravel())
             eta_prime, present = batch_prototypes(np.concatenate(fparts),
                                                   np.concatenate(aparts), k)
             update_bank(quad.banks[i], eta_prime, present)
@@ -471,11 +464,11 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
 # ---------------------------------------------------------------------------
 
 
-def _measure_pseudo_acc(quad, stores, ds_sub, cfg, k, rng):
+def _measure_pseudo_acc(quad, stores, ds_sub, cfg, rng):
     """Pseudo-label accuracy of each learner on a held-out unlabeled subset."""
-    labels = [pseudo_labels(quad, i, ds_sub.images, ds_sub.ids, stores, cfg,
-                            cfg.policy(), rng)[0] for i in range(2)]
-    return [pseudo_accuracy(y.onehot, ds_sub.labels, y.valid) for y in labels]
+    labels = [pseudo_labels(quad, i, ds_sub.images, ds_sub.ids, stores, cfg, rng)[0]
+              for i in range(2)]
+    return [pseudo_accuracy(y.labels, ds_sub.labels, y.valid) for y in labels]
 
 
 def _pair_tv(models, eval_set: Dataset, k: int, limit: int):
@@ -537,7 +530,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
             if out_path is not None:
                 save_checkpoint(out_path / "baseline.ckpt", model)
             _write_summary(out_path, summary)
-            return RunResult(None, model, records, summary)
+            return RunResult(None, records, summary)
 
         hetero = (cfg.arch_pair[0] != cfg.arch_pair[1]
                   or cfg.feature_dim[0] != cfg.feature_dim[1])
@@ -577,7 +570,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                 init_hard = harden_with_threshold(
                     stores[0].get_batch(pseudo_sub.ids), cfg.tau)
                 summary["initial_pseudo_acc"] = pseudo_accuracy(
-                    init_hard.onehot, pseudo_sub.labels, init_hard.valid)
+                    init_hard.labels, pseudo_sub.labels, init_hard.valid)
             for it in range(cfg.iterations):
                 lr = poly_lr(cfg.lr, it, cfg.iterations, cfg.lr_power)
                 li = _sample(rng_data, len(labeled), cfg.batch_labeled)
@@ -608,7 +601,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                         tv_teachers=tv_t, tv_students=tv_s,
                         pseudo_acc=(None if pseudo_sub is None else
                                     _measure_pseudo_acc(quad, stores, pseudo_sub,
-                                                        cfg, k, rng_metrics)),
+                                                        cfg, rng_metrics)),
                     ))
             last = records[-1]
             summary["stages"].append({
@@ -635,7 +628,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
         summary["final_pseudo_acc"] = last.pseudo_acc
         summary["final_tv_teachers"] = last.tv_teachers
         _write_summary(out_path, summary)
-        return RunResult(quad, None, records, summary)
+        return RunResult(quad, records, summary)
     finally:
         if sink is not None:
             sink.close()

@@ -1,11 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rml_lab.augment import (
-    AugmentPolicy,
-    CutMixMask,
     mix_images,
     mix_label_maps,
     mix_valid_masks,
@@ -19,6 +19,13 @@ def imgs(n=2, h=6, w=6, c=3, seed=0):
     return np.random.default_rng(seed).random((n, h, w, c))
 
 
+def bounding_box(m):
+    """``(top, left, height, width)`` of the nonzero entries of a mask."""
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = np.flatnonzero(m.any(axis=0))
+    return rows[0], cols[0], rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1
+
+
 # ---------------------------------------------------------------------------
 # photometric
 # ---------------------------------------------------------------------------
@@ -26,35 +33,37 @@ def imgs(n=2, h=6, w=6, c=3, seed=0):
 
 def test_strength_zero_is_identity():
     x = imgs()
-    policy = AugmentPolicy(weak_strength=0.0)
-    out = photometric(x, policy, "weak", np.random.default_rng(1))
+    out = photometric(x, 0.0, np.random.default_rng(1))
     np.testing.assert_array_equal(out, x)
 
 
 def test_photometric_deterministic_under_seed():
     x = imgs()
-    policy = AugmentPolicy()
-    a = photometric(x, policy, "strong", np.random.default_rng(42))
-    b = photometric(x, policy, "strong", np.random.default_rng(42))
+    a = photometric(x, 1.0, np.random.default_rng(42))
+    b = photometric(x, 1.0, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
-def test_brightness_shift_on_constant_image():
-    # isolate the brightness op; reproduce the documented draw order
-    policy = AugmentPolicy(weak_strength=1.0, brightness=0.25, contrast=0.0, noise_sigma=0.0)
-    v = 0.9
-    x = np.full((1, 4, 4, 3), v)
-    out = photometric(x, policy, "weak", np.random.default_rng(7))
-    ref = np.random.default_rng(7)
-    ref.uniform(1.0, 1.0, size=(1, 1, 1, 1))  # contrast draw
-    b = ref.uniform(-0.25, 0.25, size=(1, 1, 1, 1))[0, 0, 0, 0]
-    assert np.all(out == np.clip(v + b, 0.0, 1.0))
-    assert np.unique(out).size == 1
+@pytest.mark.parametrize("shape", [(3, 5, 4, 3), (3, 1, 1, 12)], ids=["images", "flat"])
+@pytest.mark.parametrize("s", [0.2, 1.0])
+def test_photometric_matches_replay_oracle(s, shape):
+    # replay the documented draws (contrast, brightness, noise) on a copy of
+    # the generator: the output must be the documented formula bit for bit
+    x = np.random.default_rng(4).random(shape)
+    rng = np.random.default_rng(11)
+    replay = copy.deepcopy(rng)
+    out = photometric(x, s, rng)
+    per_image = (shape[0], 1, 1, 1)
+    c = replay.uniform(1.0 - 0.5 * s, 1.0 + 0.5 * s, size=per_image)
+    b = replay.uniform(-0.25 * s, 0.25 * s, size=per_image)
+    eps = replay.normal(0.0, 0.08 * s, size=shape)
+    np.testing.assert_array_equal(out, np.clip(0.5 + (x - 0.5) * c + b + eps, 0.0, 1.0))
+    assert rng.random() == replay.random()  # and no draw beyond those
 
 
 def test_photometric_range_and_geometry():
     x = imgs(seed=3)
-    out = photometric(x, AugmentPolicy(), "strong", np.random.default_rng(0))
+    out = photometric(x, 1.0, np.random.default_rng(0))
     assert out.shape == x.shape
     assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -67,7 +76,7 @@ def test_photometric_range_and_geometry():
 def test_mask_area_rule_8x8():
     target = 32
     rng = np.random.default_rng(0)
-    sums = {int(sample_rect_mask(8, 8, rng).m.sum()) for _ in range(500)}
+    sums = {int(sample_rect_mask(8, 8, rng).sum()) for _ in range(500)}
     assert all(abs(s - target) <= 4 for s in sums)  # round(area/h) rounding slack
     assert target in sums
 
@@ -75,21 +84,21 @@ def test_mask_area_rule_8x8():
 def test_mask_2x2_exact():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        cm = sample_rect_mask(2, 2, rng)
-        assert cm.m.sum() == 2
+        m = sample_rect_mask(2, 2, rng)
+        assert m.sum() == 2
 
 
 def test_mask_matches_rect_and_is_binary():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        cm = sample_rect_mask(7, 9, rng)
-        top, left, h, w = cm.rect
+        m = sample_rect_mask(7, 9, rng)
+        top, left, h, w = bounding_box(m)
         ref = np.zeros((7, 9))
         ref[top:top + h, left:left + w] = 1
-        np.testing.assert_array_equal(cm.m, ref)
-        assert 0 < cm.m.sum() < 7 * 9
-        np.testing.assert_array_equal(cm.m * cm.m, cm.m)
-        np.testing.assert_array_equal(cm.m + (1 - cm.m), np.ones_like(cm.m))
+        np.testing.assert_array_equal(m, ref)
+        assert 0 < m.sum() < 7 * 9
+        np.testing.assert_array_equal(m * m, m)
+        np.testing.assert_array_equal(m + (1 - m), np.ones_like(m))
 
 
 def test_mask_coverage_statistics():
@@ -100,7 +109,7 @@ def test_mask_coverage_statistics():
     acc = np.zeros((8, 8))
     trials = 10_000
     for _ in range(trials):
-        acc += sample_rect_mask(8, 8, rng).m
+        acc += sample_rect_mask(8, 8, rng)
     cov = acc / trials
     assert abs(cov.mean() - 32 / 64) <= 0.01
     np.testing.assert_allclose(cov, cov[::-1, ::-1], atol=0.03)
@@ -125,7 +134,7 @@ def test_mix_images_all_ones_mask():
 
 def test_mix_images_complement_symmetry():
     x1, x2 = imgs(seed=1), imgs(seed=2)
-    m = sample_rect_mask(6, 6, np.random.default_rng(5)).m
+    m = sample_rect_mask(6, 6, np.random.default_rng(5))
     np.testing.assert_array_equal(mix_images(x1, x2, m), mix_images(x2, x1, 1 - m))
 
 
@@ -133,9 +142,9 @@ def test_mix_images_counting_oracle():
     h = w = 8
     x1 = np.zeros((1, h, w, 3))
     x2 = np.ones((1, h, w, 3))
-    cm = sample_rect_mask(h, w, np.random.default_rng(9))
-    out = mix_images(x1, x2, cm)
-    s = cm.m.sum()
+    m = sample_rect_mask(h, w, np.random.default_rng(9))
+    out = mix_images(x1, x2, m)
+    s = m.sum()
     for ch in range(3):
         assert out[0, :, :, ch].sum() == pytest.approx(h * w - s)
 
@@ -154,7 +163,7 @@ def test_mix_labels_identity_and_idempotence():
     y1 = onehot(rng.integers(0, 3, (2, 4, 4)), 3)
     y2 = onehot(rng.integers(0, 3, (2, 4, 4)), 3)
     np.testing.assert_array_equal(mix_label_maps(y1, y2, np.ones((4, 4))), y1)
-    m = sample_rect_mask(4, 4, rng).m
+    m = sample_rect_mask(4, 4, rng)
     np.testing.assert_array_equal(mix_label_maps(y1, y1, m), y1)
 
 
@@ -162,9 +171,9 @@ def test_mix_labels_per_pixel_selection():
     rng = np.random.default_rng(1)
     l1 = rng.integers(0, 3, (1, 4, 4))
     l2 = rng.integers(0, 3, (1, 4, 4))
-    cm = sample_rect_mask(4, 4, rng)
-    out = mix_label_maps(onehot(l1, 3), onehot(l2, 3), cm)
-    expected = np.where(cm.m[None].astype(bool), l1, l2)
+    m = sample_rect_mask(4, 4, rng)
+    out = mix_label_maps(onehot(l1, 3), onehot(l2, 3), m)
+    expected = np.where(m[None].astype(bool), l1, l2)
     np.testing.assert_array_equal(out.argmax(axis=-1), expected)
     # output stays one-hot
     assert np.all(out.sum(axis=-1) == 1.0)
@@ -180,19 +189,19 @@ def test_mix_labels_rejects_non_onehot():
 def test_mix_valid_masks_selects():
     v1 = np.ones((1, 4, 4))
     v2 = np.zeros((1, 4, 4))
-    cm = sample_rect_mask(4, 4, np.random.default_rng(2))
-    out = mix_valid_masks(v1, v2, cm)
-    np.testing.assert_array_equal(out, cm.m[None])
+    m = sample_rect_mask(4, 4, np.random.default_rng(2))
+    out = mix_valid_masks(v1, v2, m)
+    np.testing.assert_array_equal(out, m[None])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.integers(2, 12))
 def test_mask_invariants_property(seed, h, w):
-    cm = sample_rect_mask(h, w, np.random.default_rng(seed))
-    assert cm.m.shape == (h, w)
-    assert set(np.unique(cm.m)) <= {0.0, 1.0}
-    assert 0 < cm.m.sum() < h * w
-    top, left, hh, ww = cm.rect
+    m = sample_rect_mask(h, w, np.random.default_rng(seed))
+    assert m.shape == (h, w)
+    assert set(np.unique(m)) <= {0.0, 1.0}
+    assert 0 < m.sum() < h * w
+    top, left, hh, ww = bounding_box(m)
     assert 0 <= top and top + hh <= h and 0 <= left and left + ww <= w
     assert abs(hh * ww - round(0.5 * h * w)) <= max(1, hh // 2 + 1)
 

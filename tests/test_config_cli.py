@@ -55,6 +55,24 @@ def test_architecture_sizes_must_be_positive(tmp_path, field):
         validate_config(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("eval_subset", 0, "must be >= 1"), ("eval_subset", -1, "must be >= 1"),
+    ("pseudo_subset", 0, "must be >= 1"),
+    ("weak_strength", -0.1, "must be finite and nonnegative"),
+    ("weak_strength", float("nan"), "must be finite and nonnegative"),
+    ("strong_strength", -1.0, "must be finite and nonnegative"),
+    ("lr", float("inf"), "must be finite and nonnegative")])
+def test_out_of_range_subset_or_strength_is_one_config_error_on_its_line(
+        tmp_path, capsys, field, value, message):
+    path = write_config(tmp_path, {"seed": 1, field: value})
+    rc = cli.main(["validate", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error:config: {path}:3: {field} {message}")
+
+
 def test_unknown_field_is_line_referenced(tmp_path):
     path = write_config(tmp_path, {"seed": 1, "taus": 0.3})
     with pytest.raises(ConfigError, match=r"cfg\.json:\d+.*taus"):
@@ -141,6 +159,24 @@ def test_gen_data_too_small_shapes_is_one_config_error(tmp_path, capsys, size):
     assert rc == cli.EXIT_CODES["config"] == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:config:") and ">= 8" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset, flags", [
+    ("shapes", ["--size", "0", "--k", "0"]), ("shapes", ["--n", "0"]),
+    ("shapes", ["--rare-freq", "0"]), ("shapes", ["--n", "-3"]),
+    ("shapes", ["--n-eval", "-1"]), ("mnist", ["--n", "-5"])],
+    ids=["shapes-size0-k0", "shapes-n0", "shapes-rare0", "shapes-n-3", "shapes-neval-1",
+         "mnist-n-5"])
+def test_gen_data_zero_or_negative_is_one_config_error(tmp_path, capsys, dataset, flags):
+    # a zero is a value, not "use the default"; a negative count is rejected
+    out = tmp_path / "data"
+    rc = cli.main(["gen-data", "--dataset", dataset, "--out", str(out)] + flags)
+    assert rc == cli.EXIT_CODES["config"] == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error:config:")
     assert not out.exists()
 
 
@@ -242,6 +278,17 @@ def test_emit_curves_empty_dir(tmp_path, capsys):
     rc = cli.main(["emit-curves", "--metrics", str(tmp_path)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out) == {"series": 0, "warnings": 0}
+
+
+def test_emit_curves_missing_dir_is_one_format_error(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    rc = cli.main(["emit-curves", "--metrics", str(missing)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:") and str(missing) in err[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_emit_curves_orders_and_dedups(tmp_path, capsys):

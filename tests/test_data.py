@@ -189,11 +189,11 @@ def test_dataset_roundtrip(tmp_path):
 
 
 def test_split_roundtrip(tmp_path):
-    s = make_split(50, 0.2, seed=3, eval_ids=np.arange(10))
+    s = make_split(50, 0.2, seed=3)
     path = save_split(tmp_path, s)
     blob = json.loads(path.read_text())
     assert blob == {"fraction": s.fraction, "seed": s.seed, "labeled": s.labeled.tolist(),
-                    "unlabeled": s.unlabeled.tolist(), "eval": s.eval_ids.tolist()}
+                    "unlabeled": s.unlabeled.tolist(), "eval": []}
 
 
 def test_ingest_mnist_idx(tmp_path):

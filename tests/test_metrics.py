@@ -158,8 +158,7 @@ def test_label_out_of_range():
 
 def test_pseudo_accuracy_perfect():
     gt = np.random.default_rng(0).integers(0, 4, (2, 5, 5))
-    onehot = np.eye(4)[gt]
-    assert pseudo_accuracy(onehot, gt) == 1.0
+    assert pseudo_accuracy(gt.copy(), gt, np.ones(gt.shape)) == 1.0
 
 
 def test_pseudo_accuracy_all_gated_is_none():
@@ -180,6 +179,6 @@ def test_pseudo_accuracy_random_binomial():
     rng = np.random.default_rng(1)
     gt = rng.integers(0, k, n)
     pseudo = rng.integers(0, k, n)
-    acc = pseudo_accuracy(pseudo, gt)
+    acc = pseudo_accuracy(pseudo, gt, np.ones(n))
     sigma = np.sqrt((1 / k) * (1 - 1 / k) / n)
     assert abs(acc - 1 / k) <= 3 * sigma

@@ -156,7 +156,8 @@ def test_init_bank_constant_features_give_that_value():
     model = build_model("mlp", K=2, C=3, seed=0, in_channels=2).eval()
     imgs = np.full((2, 2, 2, 2), 0.5)
     labeled = make_ds(imgs, np.zeros((2, 2, 2)))
-    bank = init_bank(model, labeled, None, k=2, lam=0.9)
+    unlabeled = make_ds(np.zeros((0, 2, 2, 2)), np.zeros((0, 2, 2)))
+    bank = init_bank(model, labeled, unlabeled, k=2, lam=0.9)
     feats, _ = model.forward(imgs.astype(np.float64))
     np.testing.assert_allclose(bank.eta[0], feats[0, 0, 0], atol=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rml_lab.augment import AugmentPolicy, mix_label_maps, sample_rect_mask
+from rml_lab.augment import mix_label_maps, sample_rect_mask
 from rml_lab.errors import StateError
 from rml_lab.netcore import build_model, softmax
 from rml_lab.protobank import new_bank
@@ -18,7 +18,7 @@ from rml_lab.trainer import ModelQuad, RmlConfig, _mix_halves, pseudo_labels
 
 from oracles import float64_copy
 
-POLICY = AugmentPolicy(weak_strength=0.0, strong_strength=1.0)
+WEAK = 0.0  # weak strength 0: the teacher sees clean input
 
 
 def rand_probs(rng, shape):
@@ -34,8 +34,8 @@ def rand_probs(rng, shape):
 def test_teacher_predict_probabilities_and_determinism():
     teacher = float64_copy(build_model("mlp", K=3, C=4, seed=0, in_channels=2)).eval()
     x = np.random.default_rng(0).random((2, 1, 1, 2))
-    f1, p1 = teacher_predict(teacher, x, POLICY, np.random.default_rng(1))
-    f2, p2 = teacher_predict(teacher, x, POLICY, np.random.default_rng(2))
+    f1, p1 = teacher_predict(teacher, x, WEAK, np.random.default_rng(1))
+    f2, p2 = teacher_predict(teacher, x, WEAK, np.random.default_rng(2))
     np.testing.assert_allclose(p1.sum(axis=-1), 1.0, atol=1e-9)
     np.testing.assert_array_equal(p1, p2)  # weak strength 0 -> pure function
     feats, logits = teacher.forward(x)
@@ -46,7 +46,7 @@ def test_teacher_predict_probabilities_and_determinism():
 def test_teacher_predict_requires_eval_mode():
     teacher = build_model("mlp", K=3, C=4, seed=0, in_channels=2)
     with pytest.raises(StateError):
-        teacher_predict(teacher, np.zeros((1, 1, 1, 2)), POLICY, np.random.default_rng(0))
+        teacher_predict(teacher, np.zeros((1, 1, 1, 2)), WEAK, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_store_get_batch_follows_ids():
     rng = np.random.default_rng(4)
     p0 = rand_probs(rng, (3, 2, 2, 3))
     store = StagePseudoStore(np.array([7, 9, 4]), p0, stage=1)
-    assert len(store) == 3
+    assert len(store.rows) == 3
     np.testing.assert_array_equal(store.get_batch(np.array([4, 7, 4])),
                                   p0[[2, 0, 2]])
 
@@ -203,7 +203,7 @@ def mix_rectified(teacher, bank, store, x1, x2, ids1, ids2, m, seed=0):
     Returns the mixed labels and each half's ``(labels, feats, fallback)``."""
     quad = ModelQuad([None, None], [teacher, teacher], [bank, bank])
     rng = np.random.default_rng(seed)
-    halves = [pseudo_labels(quad, 0, x, ids, (store, store), RmlConfig(), POLICY, rng)
+    halves = [pseudo_labels(quad, 0, x, ids, (store, store), RmlConfig(weak_strength=WEAK), rng)
               for x, ids in ((x1, ids1), (x2, ids2))]
     return _mix_halves([y for y, _, _ in halves], m), halves
 
@@ -213,7 +213,7 @@ def test_mix_rectify_full_mask_equals_single_denoise():
     mixed, halves = mix_rectified(teacher, bank, store, x1, x2, [0], [1],
                                   np.ones((2, 2)))
     np.testing.assert_array_equal(mixed.onehot, halves[0][0].onehot)
-    solo, _, _ = rectified_labels(teacher, x1, [0], bank, store, POLICY, 0.0,
+    solo, _, _ = rectified_labels(teacher, x1, [0], bank, store, WEAK, 0.0,
                                   np.random.default_rng(0))
     np.testing.assert_array_equal(mixed.onehot, solo.onehot)
 
@@ -229,15 +229,15 @@ def test_mix_rectify_same_image_mask_independent():
 
 def test_mix_rectify_composition_oracle():
     teacher, bank, store, x1, x2 = build_fixture(seed=2)
-    cm = sample_rect_mask(2, 2, np.random.default_rng(2))
+    m = sample_rect_mask(2, 2, np.random.default_rng(2))
     mixed, ((y1, _, _), (y2, _, _)) = mix_rectified(teacher, bank, store, x1, x2,
-                                                    [0], [1], cm)
-    by_hand = mix_label_maps(y1.onehot, y2.onehot, cm)
+                                                    [0], [1], m)
+    by_hand = mix_label_maps(y1.onehot, y2.onehot, m)
     np.testing.assert_array_equal(mixed.onehot, by_hand)
     # label equals the side the mask picked, pixel by pixel
     for r in range(2):
         for c in range(2):
-            src = y1 if cm.m[r, c] == 1 else y2
+            src = y1 if m[r, c] == 1 else y2
             assert mixed.labels[0, r, c] == src.labels[0, r, c]
             assert mixed.valid[0, r, c] == src.valid[0, r, c]
 
@@ -250,9 +250,9 @@ def test_mix_rectify_missing_store_entry():
 
 def test_teacher_softmax_confidence_path():
     teacher, bank, store, x1, _ = build_fixture()
-    out, feats, _ = rectified_labels(teacher, x1, [0], bank, store, POLICY, 0.0,
+    out, feats, _ = rectified_labels(teacher, x1, [0], bank, store, WEAK, 0.0,
                                      np.random.default_rng(0),
                                      confidence_source="teacher_softmax")
-    _, probs = teacher_predict(teacher, x1, POLICY, np.random.default_rng(0))
+    _, probs = teacher_predict(teacher, x1, WEAK, np.random.default_rng(0))
     expected, _ = denoise(store.get_batch([0]), probs, 0.0)
     np.testing.assert_array_equal(out.onehot, expected.onehot)

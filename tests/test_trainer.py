@@ -8,7 +8,7 @@ from rml_lab.data import Dataset, generate_shapes_dataset, make_split
 from rml_lab import trainer
 from rml_lab.errors import ConfigError, TrainingError
 from rml_lab.metrics import pseudo_accuracy, tv_distance
-from rml_lab.netcore import softmax
+from rml_lab.netcore import load_checkpoint, softmax
 from rml_lab.protobank import init_bank
 from rml_lab.rectify import harden_with_threshold
 from rml_lab.trainer import (
@@ -128,7 +128,7 @@ def test_init_stage_contracts(shapes_data):
             np.testing.assert_array_equal(model.params[key], base.params[key])
     assert quad.teachers[0].mode == "eval" and quad.students[0].mode == "train"
     # store covers every unlabeled id exactly once, with the baseline's labels
-    assert len(stores[0]) == len(unlabeled) and stores[1] is stores[0]
+    assert len(stores[0].rows) == len(unlabeled) and stores[1] is stores[0]
     np.testing.assert_array_equal(stores[0].get_batch(unlabeled.ids),
                                   soft_predictions(base, unlabeled.images))
     # banks identical bitwise at init, equal to the baseline's own, not shared
@@ -244,6 +244,10 @@ def unlabeled_batches(unlabeled, b=3):
             (unlabeled.images[b:2 * b], unlabeled.ids[b:2 * b]))
 
 
+def labeled_batch(labeled, b=4):
+    return labeled.images[:b], labeled.labels[:b]
+
+
 def test_rml_with_uniform_confidence_equals_iml_labels(shapes_data):
     # identical prototype rows -> equidistant -> uniform omega; the rectified
     # argmax then equals the plain hardened pseudo label at stage init
@@ -259,7 +263,7 @@ def test_rml_with_uniform_confidence_equals_iml_labels(shapes_data):
 
     def mixed(quad, stores, cfg):
         rng = np.random.default_rng(0)
-        halves = [pseudo_labels(quad, 0, x, ids, stores, cfg, cfg.policy(), rng)[0]
+        halves = [pseudo_labels(quad, 0, x, ids, stores, cfg, rng)[0]
                   for x, ids in (b1, b2)]
         return trainer._mix_halves(halves, masks)
 
@@ -279,17 +283,15 @@ def test_pseudo_acc_scores_the_training_labels(shapes_data, variant):
     labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.5, k=K,
                  rngs=[np.random.default_rng(0), np.random.default_rng(1)])
     sub = Dataset(unlabeled.images[:8], unlabeled.labels[:8], unlabeled.ids[:8])
-    accs = trainer._measure_pseudo_acc(quad, stores, sub, cfg, K,
-                                       np.random.default_rng(4))
+    accs = trainer._measure_pseudo_acc(quad, stores, sub, cfg, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     for i in range(2):
         replay = copy.deepcopy(rng)
-        y, feats, _ = pseudo_labels(quad, i, sub.images, sub.ids, stores, cfg,
-                                    cfg.policy(), rng)
-        assert accs[i] == pseudo_accuracy(y.onehot, sub.labels, y.valid)
+        y, feats, _ = pseudo_labels(quad, i, sub.images, sub.ids, stores, cfg, rng)
+        assert accs[i] == pseudo_accuracy(y.labels, sub.labels, y.valid)
         # the labels come from the variant's model, on weakly augmented input
         source = quad.students[i] if variant == "direct_ml" else quad.teachers[i]
-        xw = photometric(sub.images, cfg.policy(), "weak", replay)
+        xw = photometric(sub.images, cfg.weak_strength, replay)
         np.testing.assert_array_equal(feats, source.clone().eval().forward(xw)[0])
     assert [s.mode for s in quad.students] == ["train", "train"]
 
@@ -302,7 +304,8 @@ def test_teacher_update_is_exactly_ema_of_post_step_student(shapes_data):
     teacher_before = [{k2: v.copy() for k2, v in t.params.items()}
                       for t in quad.teachers]
     b1, b2 = unlabeled_batches(unlabeled)
-    unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs())
+    unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs(),
+                   labeled_batch=labeled_batch(labeled))
     for i in range(2):
         for key in quad.teachers[i].params:
             expected = (cfg.alpha * teacher_before[i][key]
@@ -319,7 +322,8 @@ def test_ema_applied_after_sgd(shapes_data):
     base = train_baseline(labeled, cfg, k=K)
     quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
     b1, b2 = unlabeled_batches(unlabeled)
-    unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs())
+    unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs(),
+                   labeled_batch=labeled_batch(labeled))
     for i in range(2):
         for key in quad.teachers[i].params:
             np.testing.assert_array_equal(quad.teachers[i].params[key],
@@ -338,13 +342,14 @@ def test_four_term_loss_oracle(shapes_data):
     frozen = clone_quad(quad)
     b1, b2 = unlabeled_batches(unlabeled)
     rngs = make_rngs(seed=7)
-    losses, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=rngs)
+    losses, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=rngs,
+                                  labeled_batch=labeled_batch(labeled))
 
     # oracle: recompute every term from the frozen pre-step state
     mask_rng = make_rngs(seed=7)["mask"]
     from rml_lab.augment import sample_rect_mask
     h, w = b1[0].shape[1:3]
-    mask_stack = np.stack([sample_rect_mask(h, w, mask_rng).m for _ in range(len(b1[0]))])
+    mask_stack = np.stack([sample_rect_mask(h, w, mask_rng) for _ in range(len(b1[0]))])
     x_mix = mix_images(b1[0], b2[0], mask_stack)
     yhat = []
     for i in range(2):
@@ -373,14 +378,14 @@ def test_direct_ml_uses_cross_terms_only(shapes_data):
     frozen = clone_quad(quad)
     b1, b2 = unlabeled_batches(unlabeled)
     losses, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K,
-                                  rngs=make_rngs(seed=7))
+                                  rngs=make_rngs(seed=7), labeled_batch=labeled_batch(labeled))
     assert all(len(t) == 1 for t in info.loss_terms)
     # teachers equal students at init, so the cross term must match the
     # iml peer term computed from the same frozen state
     mask_rng = make_rngs(seed=7)["mask"]
     from rml_lab.augment import sample_rect_mask
     h, w = b1[0].shape[1:3]
-    mask_stack = np.stack([sample_rect_mask(h, w, mask_rng).m for _ in range(len(b1[0]))])
+    mask_stack = np.stack([sample_rect_mask(h, w, mask_rng) for _ in range(len(b1[0]))])
     x_mix = mix_images(b1[0], b2[0], mask_stack)
     for i in range(2):
         peer = 1 - i
@@ -402,7 +407,7 @@ def test_threshold_monotone_valid_pixels(shapes_data):
         quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
         b1, b2 = unlabeled_batches(unlabeled)
         _, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K,
-                                 rngs=make_rngs(seed=3))
+                                 rngs=make_rngs(seed=3), labeled_batch=labeled_batch(labeled))
         counts.append(sum(info.valid_pixels))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -415,7 +420,7 @@ def test_bank_update_happens_in_unlabeled_step(shapes_data):
     eta_before = quad.banks[0].eta.copy()
     b1, b2 = unlabeled_batches(unlabeled)
     unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs(),
-                   labeled_batch=(labeled.images[:4], labeled.labels[:4]))
+                   labeled_batch=labeled_batch(labeled))
     assert not np.array_equal(quad.banks[0].eta, eta_before)
 
 
@@ -462,13 +467,14 @@ def test_eval_interval_predicts_each_model_once(shapes_data, monkeypatch):
         assert getattr(last, f"tv_{role}") == tv_distance(*probs)
 
 
-def test_run_supervised_matches_train_baseline(shapes_data):
+def test_run_supervised_matches_train_baseline(shapes_data, tmp_path):
     labeled, unlabeled, ev = shapes_data
     cfg = tiny_cfg(variant="supervised")
-    res = run_rml(labeled, unlabeled, ev, cfg, k=K)
+    res = run_rml(labeled, unlabeled, ev, cfg, k=K, out_dir=tmp_path)
+    model, _ = load_checkpoint(tmp_path / "baseline.ckpt")
     direct = train_baseline(labeled, tiny_cfg(variant="supervised"), k=K)
     for key in direct.params:
-        np.testing.assert_array_equal(res.model.params[key], direct.params[key])
+        np.testing.assert_array_equal(model.params[key], direct.params[key])
     miou, _ = evaluate_model(direct, ev, K, cfg.eval_subset)
     assert res.summary["final_miou"] == pytest.approx(miou)
 
