@@ -13,6 +13,7 @@ from math import ceil
 import numpy as np
 
 from .errors import InputError
+from .netcore import class_sum
 
 
 # magnitudes at strength 1; photometric scales each by its strength
@@ -37,9 +38,12 @@ def photometric(x: np.ndarray, s: float, rng: np.random.Generator) -> np.ndarray
     extra = (1,) * (x.ndim - 1)
     contrast = rng.uniform(1.0 - s * CONTRAST, 1.0 + s * CONTRAST, size=(n,) + extra)
     brightness = rng.uniform(-s * BRIGHTNESS, s * BRIGHTNESS, size=(n,) + extra)
-    y = 0.5 + (x - 0.5) * contrast + brightness
-    y = y + rng.normal(0.0, s * NOISE_SIGMA, size=x.shape)
-    return np.clip(y, 0.0, 1.0)
+    y = x - 0.5
+    y *= contrast
+    y += 0.5
+    y += brightness
+    y += rng.normal(0.0, s * NOISE_SIGMA, size=x.shape)
+    return np.clip(y, 0.0, 1.0, out=y)
 
 
 def sample_rect_mask(h_img: int, w_img: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,7 +86,7 @@ def mix_images(x1: np.ndarray, x2: np.ndarray, m) -> np.ndarray:
 
 def _check_onehot(y: np.ndarray, name: str) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
-    if not np.all((y == 0.0) | (y == 1.0)) or not np.all(y.sum(axis=-1) == 1.0):
+    if not np.all((y == 0.0) | (y == 1.0)) or not np.all(class_sum(y) == 1.0):
         raise InputError(f"{name} is not one-hot per pixel")
     return y
 

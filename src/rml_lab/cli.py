@@ -67,6 +67,15 @@ def _stale_lock(path: Path) -> bool:
     return False
 
 
+def _make_out_dir(path) -> Path:
+    """Create an output directory; a path at or below a file is a FormatError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FormatError(f"cannot create output directory {path}: {exc.strerror}") from None
+    return Path(path)
+
+
 class OutputLock:
     """One run per output directory, enforced by a lock file holding the
     run's PID. A lock left by a process that has exited is taken over; an
@@ -77,7 +86,7 @@ class OutputLock:
         self.path = Path(out_dir) / ".lock"
 
     def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(self.path.parent)
         if _stale_lock(self.path):
             self.path.unlink(missing_ok=True)
         try:
@@ -126,7 +135,7 @@ def cmd_gen_data(args) -> int:
             source = "synthetic-digits"
         meta = {"dataset": "mnist", "num_classes": 10, "source": source,
                 "seed": args.seed, "n_train": len(train), "n_eval": len(ev)}
-    paths = save_dataset(out, train, ev, meta)
+    paths = save_dataset(_make_out_dir(out), train, ev, meta)
     hashes = {p.name: sha256_file(p) for p in paths}
     print(json.dumps({"out": str(out), "hashes": hashes}, indent=2, sort_keys=True))
     return 0
@@ -239,7 +248,7 @@ def emit_curves(metrics_dir, out_dir=None) -> tuple[int, int]:
             seen.add(it)
             for name, value in _flatten_record(rec).items():
                 series.setdefault(prefix + name, {})[it] = value
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     for name, points in sorted(series.items()):
         with open(out_dir / f"{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -420,8 +429,7 @@ PRESETS = {
 def cmd_preset(args) -> int:
     if args.name not in PRESETS:
         raise ConfigError(f"unknown preset {args.name!r}; available: {sorted(PRESETS)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     summary = PRESETS[args.name](out, Path(args.data) if args.data else None,
                                  args.seed)
     text = json.dumps(summary, indent=2, sort_keys=True)

@@ -45,12 +45,17 @@ matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
 backward keeps that matrix for ``dw``. The input gradient is itself a 3x3
 conv: of ``dy`` with the kernel flipped in both taps and transposed in its
 channels, so it is one im2col of ``dy`` and one matmul, with no strided
-per-tap adds; the stem conv computes none, since nothing uses it. It sums
-in another order than the im2col/col2im reference in tests/test_netcore.py,
-which holds it to a stated tolerance. A shift-and-accumulate conv (nine
-shifted matmuls, never building the patch matrix) measured no faster than
-im2col at batch 4 to 64. Bias gradients are column sums taken as one
-BLAS product with a ones vector.
+per-tap adds. It sums in another order than the im2col/col2im reference in
+tests/test_netcore.py, which holds it to a stated tolerance. No first layer
+(the cnn stem, the mlp's ``fc1``) computes an input gradient, since nothing
+uses it. Bias gradients are column sums taken as one BLAS product with a
+ones vector.
+
+At desk scale the cost is per call, not per FLOP, so the hot path makes few
+arrays and keeps NumPy's bits. Sums and maxima over the K classes are adds
+and maxima of the K columns (:func:`class_sum`, :func:`class_max`). Bias
+adds, ReLUs (the mlp's backward masks on ``h > 0``), softmaxes and each loss
+term's gradient work in place in a buffer the step already made.
 """
 
 from __future__ import annotations
@@ -244,8 +249,7 @@ def _dropout(m: NetModel, x: np.ndarray, rng):
         return np.zeros_like(x), np.zeros_like(x)
     if rng is None:
         raise InputError("rng required in train mode with dropout enabled")
-    keep = rng.random(x.shape) >= rate
-    mask = (keep / (1.0 - rate)).astype(x.dtype)
+    mask = (rng.random(x.shape) >= rate) * x.dtype.type(1.0 / (1.0 - rate))
     return x * mask, mask
 
 
@@ -300,15 +304,19 @@ def _conv3_dx(dy, w):
 
 def _pixelwise(x, w, b):
     shp = x.shape
-    y = x.reshape(-1, shp[-1]) @ w + b
+    y = x.reshape(-1, shp[-1]) @ w
+    y += b
     return y.reshape(*shp[:-1], -1)
 
 
-def _pixelwise_back(dy, x, w):
-    ci = x.shape[-1]
-    x2 = x.reshape(-1, ci)
+def _pixelwise_grads(dy, x):
+    """Weight and bias gradients of :func:`_pixelwise`."""
     dy2 = dy.reshape(-1, dy.shape[-1])
-    return (dy2 @ w.T).reshape(x.shape), x2.T @ dy2, _col_sums(dy2)
+    return x.reshape(-1, x.shape[-1]).T @ dy2, _col_sums(dy2)
+
+
+def _pixelwise_back(dy, x, w):
+    return ((dy.reshape(-1, dy.shape[-1]) @ w.T).reshape(x.shape), *_pixelwise_grads(dy, x))
 
 
 def class_max(z: np.ndarray) -> np.ndarray:
@@ -321,9 +329,21 @@ def class_max(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def class_sum(z: np.ndarray) -> np.ndarray:
+    """``z.sum(axis=-1, keepdims=True)`` as adds of the K columns, faster for few
+    classes and the same bits: NumPy adds under 8 terms in column order after a
+    +0 start. It sums 8 or more (attention's 64 tokens) pairwise, so those keep it."""
+    if z.shape[-1] >= 8:
+        return z.sum(axis=-1, keepdims=True)
+    out = z[..., :1] + z[..., 1:2]
+    for k in range(2, z.shape[-1]):
+        out += z[..., k:k + 1]
+    return np.add(out, 0.0, out=out)   # the +0 start: an all -0 row sums to +0
+
+
 def _softmax_last(z: np.ndarray, zmax: np.ndarray) -> np.ndarray:
-    e = np.exp(z - zmax)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - zmax
+    return np.divide(np.exp(e, out=e), class_sum(e), out=e)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -335,7 +355,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits)
     zs = z - class_max(z)
-    return zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
+    return np.subtract(zs, np.log(class_sum(np.exp(zs))), out=zs)
 
 
 def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
@@ -344,13 +364,13 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
     cache: dict = {"x": x}
     if m.arch.kind == "mlp":
         z1 = _pixelwise(x, p["fc1_w"], p["fc1_b"])
-        h1 = np.maximum(z1, 0.0)
+        h1 = np.maximum(z1, 0.0, out=z1)
         z2 = _pixelwise(h1, p["fc2_w"], p["fc2_b"])
-        feats = np.maximum(z2, 0.0)
+        feats = np.maximum(z2, 0.0, out=z2)
         fdrop, dmask = _dropout(m, feats, rng)
         logits = _pixelwise(fdrop, p["head_w"], p["head_b"])
         if want_cache:
-            cache.update(z1=z1, h1=h1, z2=z2, feats=feats, fdrop=fdrop, dmask=dmask)
+            cache.update(h1=h1, feats=feats, fdrop=fdrop, dmask=dmask)
     elif m.arch.kind == "cnn":
         # stem conv, then two residual blocks x + gate*conv3(relu(x))
         c1, cols1 = _conv3(x, p["conv1_w"], p["conv1_b"])
@@ -376,26 +396,27 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
         tokens = (x.reshape(n, th, pp, tw, pp, ci)
                    .transpose(0, 1, 3, 2, 4, 5)
                    .reshape(n, t, pp * pp * ci))
-        emb = tokens @ p["embed_w"] + p["embed_b"]
+        emb = tokens @ p["embed_w"]
+        emb += p["embed_b"]
         q = emb @ p["q_w"]
         k = emb @ p["k_w"]
         v = emb @ p["v_w"]
         scale = float(1.0 / np.sqrt(m.feature_dim))  # a numpy f64 scalar would promote
-        scores = np.matmul(q, k.transpose(0, 2, 1)) * scale
+        scores = np.matmul(q, k.transpose(0, 2, 1))
+        scores *= scale
         attn = _softmax_last(scores, scores.max(axis=-1, keepdims=True))
         ctx = np.matmul(attn, v)
-        out = ctx @ p["out_w"] + p["out_b"]
+        out = ctx @ p["out_w"]
+        out += p["out_b"]
         gate = _sd_gate(m, n, rng)[:, :, :, 0]  # (n,1,1), broadcasts over tokens
         z = emb + gate * out
         fdrop_tok, dmask = _dropout(m, z, rng)
-        logits_tok = fdrop_tok @ p["head_w"] + p["head_b"]
-        # every pixel inherits its patch token
-        feats = (z.reshape(n, th, tw, 1, 1, m.feature_dim)
-                  .repeat(pp, axis=3).repeat(pp, axis=4)
-                  .transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, m.feature_dim))
-        logits = (logits_tok.reshape(n, th, tw, 1, 1, m.num_classes)
-                   .repeat(pp, axis=3).repeat(pp, axis=4)
-                   .transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, m.num_classes))
+        logits_tok = fdrop_tok @ p["head_w"]
+        logits_tok += p["head_b"]
+        # every pixel inherits its patch token: one copy of a broadcast view
+        feats, logits = (np.broadcast_to(a.reshape(n, th, 1, tw, 1, -1),
+                                         (n, th, pp, tw, pp, a.shape[-1])).reshape(n, h, w, -1)
+                         for a in (z, logits_tok))
         if want_cache:
             cache.update(tokens=tokens, emb=emb, q=q, k=k, v=v, scale=scale,
                          attn=attn, ctx=ctx, gate=gate, z=z, fdrop=fdrop_tok,
@@ -408,11 +429,12 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
     g: dict[str, np.ndarray] = {}
     if m.arch.kind == "mlp":
         dfdrop, g["head_w"], g["head_b"] = _pixelwise_back(dlogits, cache["fdrop"], p["head_w"])
-        dfeats = dfdrop if cache["dmask"] is None else dfdrop * cache["dmask"]
-        dz2 = dfeats * (cache["z2"] > 0)
-        dh1, g["fc2_w"], g["fc2_b"] = _pixelwise_back(dz2, cache["h1"], p["fc2_w"])
-        dz1 = dh1 * (cache["z1"] > 0)
-        _, g["fc1_w"], g["fc1_b"] = _pixelwise_back(dz1, cache["x"], p["fc1_w"])
+        if cache["dmask"] is not None:
+            dfdrop *= cache["dmask"]
+        dfdrop *= cache["feats"] > 0
+        dh1, g["fc2_w"], g["fc2_b"] = _pixelwise_back(dfdrop, cache["h1"], p["fc2_w"])
+        dh1 *= cache["h1"] > 0
+        g["fc1_w"], g["fc1_b"] = _pixelwise_grads(dh1, cache["x"])
     elif m.arch.kind == "cnn":
         dfdrop, g["head_w"], g["head_b"] = _pixelwise_back(dlogits, cache["fdrop"], p["head_w"])
         dfeats = dfdrop if cache["dmask"] is None else dfdrop * cache["dmask"]
@@ -490,8 +512,7 @@ def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
         target = np.asarray(target, dtype=logits.dtype)
         if target.shape != logits.shape:
             raise InputError(f"target shape {target.shape} does not match logits {logits.shape}")
-        tsum = target.sum(axis=-1)
-        if np.any(np.abs(tsum - 1.0) > 1e-4) or np.any(target < -1e-9):
+        if np.any(np.abs(class_sum(target) - 1.0) > 1e-4) or np.any(target < -1e-9):
             raise InputError("target rows must be normalized distributions")
         if pixel_mask is None:
             mask = np.ones(logits.shape[:-1], logits.dtype)
@@ -504,8 +525,11 @@ def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
             losses.append(0.0)
             continue
         any_pixels = True
-        losses.append(float((-(target * logp).sum(axis=-1) * mask).sum() / n))
-        dlogits += (p - target) * mask[..., None] / n
+        ce = np.negative(class_sum(target * logp)[..., 0])
+        losses.append(float(np.multiply(ce, mask, out=ce).sum() / n))
+        d = p - target
+        d *= mask[..., None]
+        dlogits += np.divide(d, n, out=d)
     grads = _backward(m, cache, dlogits) if any_pixels else m.zero_grads()
     return losses, grads
 
@@ -520,8 +544,9 @@ def sgd_step(m: NetModel, grads: dict[str, np.ndarray], lr: float) -> NetModel:
         )
     for name, w in m.params.items():
         w -= lr * grads[name]
-        if not np.all(np.isfinite(w)):
-            raise TrainingError(f"non-finite parameter after update: {name}")
+    if not np.isfinite(np.concatenate([w.ravel() for w in m.params.values()])).all():
+        bad = next(n for n, w in m.params.items() if not np.isfinite(w).all())
+        raise TrainingError(f"non-finite parameter after update: {bad}")
     return m
 
 

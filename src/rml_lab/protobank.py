@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StateError
-from .netcore import class_max
+from .netcore import class_max, class_sum
 
 INIT_BATCH = 64   # images per forward when init_bank computes its prototypes
 
@@ -48,15 +48,14 @@ def new_bank(k: int, c: int, lam: float) -> PrototypeBank:
 def _class_sums(features: np.ndarray, assign, k: int):
     """Per-class feature sums ``(K, C)`` and pixel counts ``(K,)``.
 
-    One ``bincount`` per feature dim, so every sum adds its pixels in the
-    same order wherever prototypes are accumulated.
+    One ``bincount`` over the bins ``class*C + dim``, so every sum adds its
+    pixels in pixel order wherever prototypes are accumulated.
     """
     c = features.shape[-1]
-    flat_f = features.reshape(-1, c)
     flat_a = np.asarray(assign).ravel()
-    sums = np.stack([np.bincount(flat_a, weights=flat_f[:, dim], minlength=k)
-                     for dim in range(c)], axis=1)
-    return sums, np.bincount(flat_a, minlength=k)
+    bins = (flat_a.astype(np.intp)[:, None] * c + np.arange(c)).ravel()
+    sums = np.bincount(bins, weights=features.reshape(-1), minlength=k * c)
+    return sums.reshape(-1, c), np.bincount(flat_a, minlength=k)
 
 
 def batch_prototypes(features: np.ndarray, assign: np.ndarray, k: int):
@@ -137,16 +136,17 @@ def confidence_weights(features: np.ndarray, bank: PrototypeBank) -> np.ndarray:
         )
     lead = features.shape[:-1]
     flat = features.reshape(-1, features.shape[-1])
-    # squared-expansion keeps memory at N*K instead of N*K*C
-    d2 = ((flat ** 2).sum(axis=1, keepdims=True)
-          - 2.0 * flat @ bank.eta.T
-          + (bank.eta ** 2).sum(axis=1))
-    dist = np.sqrt(np.clip(d2, 0.0, None))
-    logits = -dist + np.log(bank.pi)
-    logits[:, ~bank.seen] = -np.inf
-    logits -= class_max(logits)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
+    # squared expansion: memory N*K, not N*K*C; then every step in place
+    w = (2.0 * flat) @ bank.eta.T
+    np.subtract((flat ** 2).sum(axis=1, keepdims=True), w, out=w)
+    w += (bank.eta ** 2).sum(axis=1)
+    np.sqrt(np.clip(w, 0.0, None, out=w), out=w)    # distances
+    np.subtract(np.log(bank.pi), w, out=w)   # log prior minus distance
+    if not bank.seen.all():
+        w[:, ~bank.seen] = -np.inf
+    w -= class_max(w)
+    np.exp(w, out=w)
+    w /= class_sum(w)
     return w.reshape(*lead, bank.num_classes)
 
 

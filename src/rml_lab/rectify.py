@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import photometric
 from .errors import InputError, StateError
-from .netcore import class_max, softmax
+from .netcore import class_max, class_sum, softmax
 from .protobank import confidence_weights
 
 # SoftPrediction is a plain (N,H,W,K) probability array; OneHotMap wraps the
@@ -78,9 +78,8 @@ def harden_with_threshold(p: np.ndarray, tau: float) -> OneHotMap:
     p = np.asarray(p, dtype=np.float64)
     if not 0.0 <= tau < 1.0:
         raise InputError(f"tau out of [0,1): {tau}")
-    k = p.shape[-1]
     labels = p.argmax(axis=-1)
-    onehot = np.eye(k)[labels]
+    onehot = np.eye(p.shape[-1])[labels]
     valid = (class_max(p)[..., 0] > tau).astype(np.float64)
     return OneHotMap(onehot, valid)
 
@@ -99,16 +98,15 @@ def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, i
         raise InputError(f"p0 {p0.shape} and omega {omega.shape} not aligned")
     if not 0.0 <= tau < 1.0:
         raise InputError(f"tau out of [0,1): {tau}")
-    k = p0.shape[-1]
     prod = omega * p0
-    norm = prod.sum(axis=-1)
-    dead = norm == 0.0
+    norm = class_sum(prod)
+    dead = norm[..., 0] == 0.0
     fallback = int(dead.sum())
-    safe_norm = np.where(dead, 1.0, norm)
-    rect = prod / safe_norm[..., None]
-    labels = np.where(dead, p0.argmax(axis=-1), prod.argmax(axis=-1))
-    conf = np.where(dead, class_max(p0)[..., 0], class_max(rect)[..., 0])
-    onehot = np.eye(k)[labels]
+    if fallback:   # where the product vanishes, p0 stands in for it
+        prod[dead], norm[dead] = p0[dead], 1.0
+    labels = prod.argmax(axis=-1)
+    conf = class_max(prod / norm)[..., 0]
+    onehot = np.eye(p0.shape[-1])[labels]
     valid = (conf > tau).astype(np.float64)
     return OneHotMap(onehot, valid), fallback
 

@@ -36,3 +36,62 @@ def float64_copy(model):
     copy = model.clone()
     copy.params = {k: v.astype(np.float64) for k, v in copy.params.items()}
     return copy
+
+
+# The formulas below are the ones rml_lab computed before its small-tensor
+# rewrite (class-axis sums as column adds, in-place buffers, one bincount);
+# the tests require the rewrite to give the same bits.
+
+
+def class_sums_per_dim(features, assign, k):
+    """Per-class feature sums ``(K, C)`` and pixel counts, one ``bincount``
+    per feature dim."""
+    c = features.shape[-1]
+    flat_f = features.reshape(-1, c)
+    flat_a = np.asarray(assign).ravel()
+    sums = np.stack([np.bincount(flat_a, weights=flat_f[:, dim], minlength=k)
+                     for dim in range(c)], axis=1)
+    return sums, np.bincount(flat_a, minlength=k)
+
+
+def confidence_weights_expanded(features, eta, pi, seen):
+    """Distance-softmax confidence by the squared expansion, one new array
+    per step and the reductions over the class axis."""
+    features = np.asarray(features, dtype=np.float64)
+    flat = features.reshape(-1, features.shape[-1])
+    d2 = ((flat ** 2).sum(axis=1, keepdims=True)
+          - 2.0 * flat @ eta.T
+          + (eta ** 2).sum(axis=1))
+    dist = np.sqrt(np.clip(d2, 0.0, None))
+    logits = -dist + np.log(pi)
+    logits[:, ~seen] = -np.inf
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
+    return w.reshape(*features.shape[:-1], len(eta))
+
+
+def loss_terms(logits, terms):
+    """Per-term cross-entropy losses and the summed logit gradient of
+    ``loss_and_gradients`` for ``(target, mask)`` terms with unmasked pixels."""
+    zs = logits - logits.max(axis=-1, keepdims=True)
+    logp = zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
+    p = np.exp(logp)
+    dlogits = np.zeros_like(logits)
+    losses = []
+    for target, mask in terms:
+        target = np.asarray(target, dtype=logits.dtype)
+        mask = np.asarray(mask, dtype=logits.dtype)
+        n = mask.sum()
+        losses.append(float((-(target * logp).sum(axis=-1) * mask).sum() / n))
+        dlogits += (p - target) * mask[..., None] / n
+    return losses, dlogits
+
+
+def upsample_tokens(tok, th, tw, pp):
+    """``(N, th*tw, C)`` patch tokens to ``(N, th*pp, tw*pp, C)`` pixels by
+    repeats and a transpose."""
+    n, _, c = tok.shape
+    return (tok.reshape(n, th, tw, 1, 1, c)
+            .repeat(pp, axis=3).repeat(pp, axis=4)
+            .transpose(0, 1, 3, 2, 4, 5).reshape(n, th * pp, tw * pp, c))

@@ -291,6 +291,31 @@ def test_emit_curves_missing_dir_is_one_format_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("below", [True, False], ids=["below-a-file", "a-file"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "preset", "emit-curves"])
+def test_out_that_cannot_be_a_directory_is_one_format_error(tmp_path, capsys, command, below):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    out = afile / "out" if below else afile
+    if command == "train":
+        data = gen_shapes(tmp_path)
+        write_config(tmp_path, quick_train_blob(data, tmp_path / "run"))
+        capsys.readouterr()
+    argv = {"gen-data": ["gen-data", "--dataset", "shapes", "--n", "4", "--n-eval", "2",
+                         "--size", "8", "--k", "4"],
+            "train": ["train", "--config", str(tmp_path / "cfg.json")],
+            "preset": ["preset", "stage-sweep"],
+            "emit-curves": ["emit-curves", "--metrics", str(tmp_path)]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(argv + ["--out", str(out)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:") and str(out) in err[0]
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "x"
+
+
 def test_emit_curves_orders_and_dedups(tmp_path, capsys):
     lines = [
         {"iteration": 20, "stage": 1, "tv_teachers": 0.2, "loss_labeled": [1.0, 2.0]},

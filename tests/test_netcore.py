@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rml_lab import netcore
-from rml_lab.errors import ConfigError, FormatError, InputError, InternalError
+from rml_lab.errors import ConfigError, FormatError, InputError, InternalError, TrainingError
 from rml_lab.netcore import (
     NoiseConfig,
     build_model,
     class_max,
+    class_sum,
     ema_params,
     load_checkpoint,
     log_softmax,
@@ -18,7 +19,7 @@ from rml_lab.netcore import (
     softmax,
 )
 
-from oracles import cross_entropy, float64_copy
+from oracles import cross_entropy, float64_copy, loss_terms, upsample_tokens
 
 NOISY = NoiseConfig(dropout_rate=0.5, stochastic_depth_survival=0.8)
 
@@ -281,9 +282,8 @@ def test_softmax_normalized_and_shift_invariant():
     np.testing.assert_allclose(p, p_shift, atol=1e-6)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("k", [2, 6, 10])
-def test_class_axis_max_gives_the_bits_of_the_max_reduction(dtype, k):
+def class_axis_rows(k, dtype):
+    """Random rows over ``k`` classes, with ties, infinities, NaNs and -0."""
     rng = np.random.default_rng(k)
     z = rng.normal(size=(3, 8, k)) * 10
     z[0, 0] = 2.5                           # every class tied
@@ -292,8 +292,15 @@ def test_class_axis_max_gives_the_bits_of_the_max_reduction(dtype, k):
     z[0, 3, 0] = -np.inf
     z[0, 4] = -np.inf
     z[0, 5, 1] = np.nan
+    z[0, 6] = -0.0
     z[1] = np.nan
-    z = z.astype(dtype)
+    return z.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 6, 10])
+def test_class_axis_max_gives_the_bits_of_the_max_reduction(dtype, k):
+    z = class_axis_rows(k, dtype)
     want = z.max(axis=-1, keepdims=True)
     got = class_max(z)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -305,6 +312,22 @@ def test_class_axis_max_gives_the_bits_of_the_max_reduction(dtype, k):
         ref = zs - np.log(e.sum(axis=-1, keepdims=True))
         assert log_softmax(z).tobytes() == ref.tobytes()
         assert np.isnan(softmax(z)[1]).all() and np.isnan(log_softmax(z)[1]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 6, 7, 10])
+def test_class_axis_sum_gives_the_bits_of_the_sum_reduction(dtype, k):
+    z = class_axis_rows(k, dtype)
+    z[0, 7] = 0.0
+    z[0, 7, ::2] = -0.0                     # +0 and -0 mixed
+    z[0, 2, 0] = -np.inf                    # inf - inf
+    z[2, :, 1:] = np.finfo(dtype).max       # overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = z.sum(axis=-1, keepdims=True)
+        got = class_sum(z)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        big = np.random.default_rng(k).normal(size=(4, 16, 16, k)).astype(dtype)
+        assert class_sum(big).tobytes() == big.sum(axis=-1, keepdims=True).tobytes()
 
 
 def test_cross_entropy_exact_match_is_zero():
@@ -373,6 +396,38 @@ def test_terms_sum_their_losses_and_gradients():
     for name in m.params:
         np.testing.assert_allclose(grads[name], g1[name] + g2[name], rtol=1e-12,
                                    atol=1e-15)
+
+
+@pytest.mark.parametrize("n_terms", [1, 2])
+def test_loss_and_logit_gradient_give_the_bits_of_the_reduction_formulas(n_terms, monkeypatch):
+    seen = []
+    inner = netcore._backward
+    monkeypatch.setattr(netcore, "_backward",
+                        lambda m, cache, dlogits: seen.append(dlogits) or inner(m, cache, dlogits))
+    m = build_model("attn", K=6, C=8, seed=3, in_channels=3, patch=2)
+    rng = np.random.default_rng(8)
+    x = rng.random((4, 8, 8, 3))
+    terms = [(np.eye(6)[rng.integers(0, 6, (4, 8, 8))],
+              (rng.random((4, 8, 8)) < 0.7).astype(np.float64)) for _ in range(n_terms)]
+    losses, _ = loss_and_gradients(m, x, terms)
+    _, logits = m.forward(x)   # no noise: the loss's own forward
+    want_losses, want_dlogits = loss_terms(logits, terms)
+    assert losses == want_losses
+    (dlogits,) = seen
+    assert dlogits.dtype == np.float32 and dlogits.tobytes() == want_dlogits.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_attn_pixels_are_their_tokens_repeated(mode):
+    m = build_model("attn", K=5, C=4, noise=NOISY, seed=2, in_channels=2, patch=2)
+    m.mode = mode
+    x = np.random.default_rng(3).random((3, 4, 6, 2))
+    feats, logits, cache = netcore._forward(m, x, np.random.default_rng(4), want_cache=True)
+    th, tw = cache["tshape"]
+    assert (th, tw) == (2, 3)
+    assert_same_bits(feats, upsample_tokens(cache["z"], th, tw, 2))
+    tok = cache["fdrop"] @ m.params["head_w"] + m.params["head_b"]
+    assert_same_bits(logits, upsample_tokens(tok, th, tw, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +633,15 @@ def test_sgd_key_mismatch_is_internal_error():
     m = small_model("mlp")
     with pytest.raises(InternalError):
         sgd_step(m, {"nope": np.zeros(3)}, 0.1)
+
+
+def test_sgd_names_the_first_non_finite_parameter():
+    m = small_model("mlp")
+    grads = m.zero_grads()
+    grads["fc2_b"][1] = np.nan
+    grads["head_w"][0, 0] = np.inf
+    with pytest.raises(TrainingError, match=r"^non-finite parameter after update: fc2_b$"):
+        sgd_step(m, grads, 0.1)
 
 
 def test_ema_alpha_one_keeps_teacher():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rml_lab import protobank
 from rml_lab.data import Dataset
 from rml_lab.errors import InputError, StateError
 from rml_lab.netcore import build_model
 from rml_lab.protobank import (
+    PrototypeBank,
     bank_from_tensors,
     bank_tensors,
     batch_prototypes,
@@ -15,6 +17,8 @@ from rml_lab.protobank import (
     new_bank,
     update_bank,
 )
+
+from oracles import class_sums_per_dim, confidence_weights_expanded
 
 
 def direct_posterior(z, eta, pi, seen):
@@ -253,3 +257,37 @@ def test_bank_tensor_roundtrip():
     np.testing.assert_array_equal(back.eta, bank.eta)
     np.testing.assert_array_equal(back.seen, bank.seen)
     assert back.lam == pytest.approx(bank.lam)
+
+
+# ---------------------------------------------------------------------------
+# the one-bincount sums and the in-place confidence chain keep their bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pixels", [3072, 16384])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_class_sums_give_the_bits_of_one_bincount_per_dim(pixels, dtype):
+    rng = np.random.default_rng(pixels)
+    feats = rng.normal(size=(pixels // 256, 16, 16, 16)).astype(dtype)
+    assign = rng.integers(0, 6, size=feats.shape[:-1])
+    assign[assign == 3] = 4   # class 3 absent
+    sums, counts = protobank._class_sums(feats, assign, 6)
+    want_sums, want_counts = class_sums_per_dim(feats, assign, 6)
+    assert sums.shape == want_sums.shape == (6, 16) and counts[3] == 0
+    assert sums.tobytes() == want_sums.tobytes()
+    assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("unseen", [None, 2])
+def test_confidence_weights_give_the_bits_of_the_expanded_formula(unseen):
+    rng = np.random.default_rng(5)
+    eta = rng.normal(size=(6, 16))
+    seen = np.ones(6, dtype=bool)
+    if unseen is not None:
+        seen[unseen] = False
+    bank = PrototypeBank(eta, np.full(6, 1 / 6), seen, 0.9)
+    feats = rng.normal(size=(4, 16, 16, 16))
+    feats[0, 0, 0] = eta[0]   # zero distance, clipped below 0 by rounding
+    got = confidence_weights(feats, bank)
+    want = confidence_weights_expanded(feats, eta, bank.pi, seen)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
