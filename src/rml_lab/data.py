@@ -4,7 +4,8 @@ A dataset directory holds ``images.idx`` (f32, scaled to [0,1]),
 ``labels.idx`` (u8 class indices), the matching ``eval_images.idx`` /
 ``eval_labels.idx`` pair, ``meta.json`` and optionally ``split.json``.
 Classification data uses 1x1 label maps (the image flattened into channels
-by the trainer when an architecture needs a vector input).
+by the trainer when an architecture needs a vector input). SciPy serves only
+the digits stand-in for MNIST, which imports it on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, FormatError, InputError
 
@@ -218,6 +218,8 @@ def generate_digits_dataset(n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise ConfigError(f"a dataset needs n >= 1 images, got {n}")
+    from scipy import ndimage  # here, not at the top: only this generator needs it
+
     rng = np.random.default_rng(seed)
     glyphs = _glyph_bitmaps()
     big = glyphs.repeat(3, axis=1).repeat(3, axis=2)  # (10, 21, 15)
@@ -291,6 +293,10 @@ def load_dataset(datadir):
             images = images[..., None]
         if labels.ndim == 1:
             labels = labels.reshape(-1, 1, 1)
+        # one label map per image: 1x1 for classification, else the image's HxW
+        if len(labels) != len(images) or labels.shape[1:] not in ((1, 1), images.shape[1:3]):
+            raise FormatError(f"{datadir / lab_name}: labels of shape {labels.shape} do not "
+                              f"match {img_name} of shape {images.shape}")
         if labels.max(initial=0) >= meta["num_classes"]:
             raise FormatError(f"{lab_name}: label values exceed K={meta['num_classes']}")
         return Dataset(images, labels, np.arange(len(images), dtype=np.int64))

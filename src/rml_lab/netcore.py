@@ -42,14 +42,16 @@ Train-mode forwards are not chunked, so their random draws are unchanged.
 
 A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
 matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
-backward keeps that matrix for ``dw``. The input gradient is itself a 3x3
-conv: of ``dy`` with the kernel flipped in both taps and transposed in its
-channels, so it is one im2col of ``dy`` and one matmul, with no strided
-per-tap adds. It sums in another order than the im2col/col2im reference in
-tests/test_netcore.py, which holds it to a stated tolerance. No first layer
-(the cnn stem, the mlp's ``fc1``) computes an input gradient, since nothing
-uses it. Bias gradients are column sums taken as one BLAS product with a
-ones vector.
+backward keeps that matrix for ``dw``. A forward with no backward (every
+eval-mode forward) keeps no patch matrix: each one is freed after its
+matmul, so one 16-image eval chunk never holds two. The input gradient is
+itself a 3x3 conv: of ``dy`` with the kernel flipped in both taps and
+transposed in its channels, so it is one im2col of ``dy`` and one matmul,
+with no strided per-tap adds. It sums in another order than the
+im2col/col2im reference in tests/test_netcore.py, which holds it to a stated
+tolerance. No first layer (the cnn stem, the mlp's ``fc1``) computes an
+input gradient, since nothing uses it. Bias gradients are column sums taken
+as one BLAS product with a ones vector.
 
 At desk scale the cost is per call, not per FLOP, so the hot path makes few
 arrays and keeps NumPy's bits. Sums and maxima over the K classes are adds
@@ -373,20 +375,25 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
             cache.update(h1=h1, feats=feats, fdrop=fdrop, dmask=dmask)
     elif m.arch.kind == "cnn":
         # stem conv, then two residual blocks x + gate*conv3(relu(x))
-        c1, cols1 = _conv3(x, p["conv1_w"], p["conv1_b"])
+        def conv(a, layer, key):
+            y, cols = _conv3(a, p[layer + "_w"], p[layer + "_b"])
+            if want_cache:   # a backward needs it; else it dies with this call
+                cache[key] = cols
+            return y
+
+        c1 = conv(x, "conv1", "cols1")
         h0 = np.maximum(c1, 0.0)
         g1 = _sd_gate(m, x.shape[0], rng)
-        c2, cols2 = _conv3(h0, p["block1_w"], p["block1_b"])
+        c2 = conv(h0, "block1", "cols2")
         b1 = h0 + g1 * c2
         g2 = _sd_gate(m, x.shape[0], rng)
         r2 = np.maximum(b1, 0.0)
-        c3, cols3 = _conv3(r2, p["block2_w"], p["block2_b"])
+        c3 = conv(r2, "block2", "cols3")
         feats = b1 + g2 * c3
         fdrop, dmask = _dropout(m, feats, rng)
         logits = _pixelwise(fdrop, p["head_w"], p["head_b"])
         if want_cache:
-            cache.update(c1=c1, cols1=cols1, h0=h0, g1=g1, cols2=cols2,
-                         b1=b1, g2=g2, r2=r2, cols3=cols3, feats=feats,
+            cache.update(c1=c1, h0=h0, g1=g1, b1=b1, g2=g2, r2=r2, feats=feats,
                          fdrop=fdrop, dmask=dmask)
     else:  # attn
         n, h, w, ci = x.shape

@@ -26,19 +26,17 @@ from .protobank import confidence_weights
 
 @dataclass
 class OneHotMap:
-    """One-hot labels plus the threshold gate.
+    """Hard labels in both forms plus the threshold gate.
 
-    ``onehot`` is ``(N,H,W,K)`` with exactly one 1 per pixel; ``valid`` is
-    ``(N,H,W)``, 0 where the prediction fell below the threshold and must
-    not contribute to losses.
+    ``onehot`` is ``(N,H,W,K)`` with exactly one 1 per pixel and ``labels``
+    the ``(N,H,W)`` class index of that 1; ``valid`` is ``(N,H,W)``, 0 where
+    the prediction fell below the threshold and must not contribute to
+    losses.
     """
 
     onehot: np.ndarray
     valid: np.ndarray
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.onehot.argmax(axis=-1)
+    labels: np.ndarray
 
 
 class StagePseudoStore:
@@ -61,13 +59,11 @@ class StagePseudoStore:
 
 def teacher_predict(teacher, x: np.ndarray, weak_strength: float,
                     rng) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher features and softmax probabilities on ``x`` perturbed at
-    ``weak_strength``."""
+    """Teacher features and logits on ``x`` perturbed at ``weak_strength``;
+    a caller that needs probabilities takes their softmax."""
     if teacher.mode != "eval":
         raise StateError("teacher must be in eval mode")
-    xw = photometric(x, weak_strength, rng)
-    feats, logits = teacher.forward(xw)
-    return feats, softmax(logits)
+    return teacher.forward(photometric(x, weak_strength, rng))
 
 
 def harden_with_threshold(p: np.ndarray, tau: float) -> OneHotMap:
@@ -81,7 +77,7 @@ def harden_with_threshold(p: np.ndarray, tau: float) -> OneHotMap:
     labels = p.argmax(axis=-1)
     onehot = np.eye(p.shape[-1])[labels]
     valid = (class_max(p)[..., 0] > tau).astype(np.float64)
-    return OneHotMap(onehot, valid)
+    return OneHotMap(onehot, valid, labels)
 
 
 def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, int]:
@@ -108,7 +104,7 @@ def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, i
     conf = class_max(prod / norm)[..., 0]
     onehot = np.eye(p0.shape[-1])[labels]
     valid = (conf > tau).astype(np.float64)
-    return OneHotMap(onehot, valid), fallback
+    return OneHotMap(onehot, valid, labels), fallback
 
 
 def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
@@ -122,11 +118,11 @@ def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
     with the teacher's own softmax output (ablation path).
     """
     p0 = store.get_batch(ids)
-    feats, probs = teacher_predict(teacher, x, weak_strength, rng)
+    feats, logits = teacher_predict(teacher, x, weak_strength, rng)
     if confidence_source == "prototype":
         omega = confidence_weights(feats, bank)
     elif confidence_source == "teacher_softmax":
-        omega = probs
+        omega = softmax(logits)
     else:
         raise InputError(f"unknown confidence source {confidence_source!r}")
     labels, fallback = denoise(p0, omega, tau)

@@ -375,10 +375,10 @@ def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlC
     was = model.mode
     model.eval()
     try:
-        feats, probs = teacher_predict(model, x, cfg.weak_strength, rng)
+        feats, logits = teacher_predict(model, x, cfg.weak_strength, rng)
     finally:
         model.mode = was
-    return harden_with_threshold(probs, cfg.tau), feats, 0
+    return harden_with_threshold(softmax(logits), cfg.tau), feats, 0
 
 
 def _mix_halves(halves: list, masks) -> OneHotMap:
@@ -387,7 +387,8 @@ def _mix_halves(halves: list, masks) -> OneHotMap:
         return halves[0]
     y1, y2 = halves
     return OneHotMap(mix_label_maps(y1.onehot, y2.onehot, masks),
-                     mix_valid_masks(y1.valid, y2.valid, masks))
+                     mix_valid_masks(y1.valid, y2.valid, masks),
+                     np.where(masks == 1, y1.labels, y2.labels))
 
 
 def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,

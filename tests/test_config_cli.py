@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from rml_lab import cli
 from rml_lab.config import config_from_dict, resolved_dump, validate_config
-from rml_lab.data import load_dataset, make_split
+from rml_lab.data import load_dataset, make_split, read_idx, write_idx
 from rml_lab.errors import ConfigError, StateError
 from rml_lab.netcore import NoiseConfig, build_model, save_checkpoint
 from rml_lab.trainer import RmlConfig, evaluate_model, run_rml
@@ -178,6 +179,23 @@ def test_gen_data_zero_or_negative_is_one_config_error(tmp_path, capsys, dataset
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error:config:")
     assert not out.exists()
+
+
+def test_only_the_digits_generator_imports_scipy(tmp_path):
+    script = "\n".join([
+        "import sys",
+        "from rml_lab import cli",
+        "assert 'scipy' not in sys.modules, 'importing the cli imported scipy'",
+        "assert cli.main(['gen-data', '--dataset', 'mnist', '--n', '8', '--n-eval', '4',",
+        f"                 '--out', {str(tmp_path / 'digits')!r}]) == 0",
+        "assert 'scipy' in sys.modules"])
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "digits" / "images.idx").exists()
 
 
 def quick_train_blob(data_dir, out_dir):
@@ -567,3 +585,46 @@ def test_eval_of_any_one_byte_overwrite_is_json_or_one_error(small_checkpoint, d
     at = draw.draw(st.integers(0, len(blob) - 1), label="offset")
     value = draw.draw(st.integers(0, 255).filter(lambda v: v != blob[at]), label="byte")
     eval_outcome(ckpt, data, blob[:at] + bytes([value]) + blob[at + 1:])
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("name, cut", [("labels.idx", lambda a: a[:-1]),
+                                       ("eval_labels.idx", lambda a: a[:, :, 1:])],
+                         ids=["one-label-short", "label-maps-narrower"])
+def test_labels_that_disagree_with_their_images_are_one_format_error(
+        small_checkpoint, tmp_path, capsys, command, name, cut):
+    data, _, blob = small_checkpoint
+    ckpt = tmp_path / "model.ckpt"   # the fixture's file holds whatever a fuzz test left
+    ckpt.write_bytes(blob)
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    write_idx(cut(read_idx(bad / name)), bad / name)
+    out = tmp_path / "run"
+    if command == "train":
+        argv = ["train", "--config", str(write_config(tmp_path, quick_train_blob(bad, out)))]
+    else:
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(bad)]
+    assert cli.main(argv) == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith("error:format:") and str(bad / name) in err[0], err[0]
+    assert not out.exists()
+
+
+IDX_NAMES = ("images.idx", "labels.idx", "eval_images.idx", "eval_labels.idx")
+
+
+@pytest.mark.parametrize("name", IDX_NAMES)
+def test_eval_of_every_truncated_idx_file_is_one_format_error(small_checkpoint, tmp_path,
+                                                              name):
+    data, ckpt, blob = small_checkpoint
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    for f in IDX_NAMES:   # 2 images of 2x2 pixels keep the truncations few
+        write_idx(read_idx(bad / f)[:2, :2, :2], bad / f)
+    assert eval_outcome(ckpt, bad, blob) == 0
+    whole = (bad / name).read_bytes()
+    for n in range(len(whole)):
+        (bad / name).write_bytes(whole[:n])
+        assert eval_outcome(ckpt, bad, blob) == cli.EXIT_CODES["format"], n

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,22 @@ def test_train_forward_is_unchunked(kind):
     _, whole, _ = netcore._forward(m, x, rng_b, want_cache=False)
     np.testing.assert_array_equal(logits, whole)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_eval_forward_frees_each_patch_matrix_after_its_matmul():
+    # one 16-image eval chunk at 16x16: each block conv's (4096, 144) float32
+    # patch matrix is 2.4 MB, and no two may be alive at once
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    x = np.random.default_rng(8).random((16, 16, 16, 3)).astype(np.float32)
+    m.forward(x)   # a first call may allocate what later calls reuse
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4096 * 144 * 4, peak
 
 
 # ---------------------------------------------------------------------------

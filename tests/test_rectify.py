@@ -34,13 +34,13 @@ def rand_probs(rng, shape):
 def test_teacher_predict_probabilities_and_determinism():
     teacher = float64_copy(build_model("mlp", K=3, C=4, seed=0, in_channels=2)).eval()
     x = np.random.default_rng(0).random((2, 1, 1, 2))
-    f1, p1 = teacher_predict(teacher, x, WEAK, np.random.default_rng(1))
-    f2, p2 = teacher_predict(teacher, x, WEAK, np.random.default_rng(2))
-    np.testing.assert_allclose(p1.sum(axis=-1), 1.0, atol=1e-9)
-    np.testing.assert_array_equal(p1, p2)  # weak strength 0 -> pure function
+    f1, z1 = teacher_predict(teacher, x, WEAK, np.random.default_rng(1))
+    f2, z2 = teacher_predict(teacher, x, WEAK, np.random.default_rng(2))
+    np.testing.assert_allclose(softmax(z1).sum(axis=-1), 1.0, atol=1e-9)
+    np.testing.assert_array_equal(z1, z2)  # weak strength 0 -> pure function
     feats, logits = teacher.forward(x)
     np.testing.assert_array_equal(f1, feats)
-    np.testing.assert_array_equal(p1, softmax(logits))
+    np.testing.assert_array_equal(z1, logits)  # logits, not probabilities
 
 
 def test_teacher_predict_requires_eval_mode():
@@ -140,6 +140,7 @@ def test_denoise_matches_direct_product_argmax(seed):
     out, fallback = denoise(p0, omega, 0.0)
     assert fallback == 0
     np.testing.assert_array_equal(out.labels, (omega * p0).argmax(axis=-1))
+    np.testing.assert_array_equal(out.onehot.argmax(axis=-1), out.labels)
     assert np.all(out.onehot.sum(axis=-1) == 1.0)
 
 
@@ -234,6 +235,7 @@ def test_mix_rectify_composition_oracle():
                                                     [0], [1], m)
     by_hand = mix_label_maps(y1.onehot, y2.onehot, m)
     np.testing.assert_array_equal(mixed.onehot, by_hand)
+    np.testing.assert_array_equal(mixed.labels, by_hand.argmax(axis=-1))
     # label equals the side the mask picked, pixel by pixel
     for r in range(2):
         for c in range(2):
@@ -253,6 +255,6 @@ def test_teacher_softmax_confidence_path():
     out, feats, _ = rectified_labels(teacher, x1, [0], bank, store, WEAK, 0.0,
                                      np.random.default_rng(0),
                                      confidence_source="teacher_softmax")
-    _, probs = teacher_predict(teacher, x1, WEAK, np.random.default_rng(0))
-    expected, _ = denoise(store.get_batch([0]), probs, 0.0)
+    _, logits = teacher_predict(teacher, x1, WEAK, np.random.default_rng(0))
+    expected, _ = denoise(store.get_batch([0]), softmax(logits), 0.0)
     np.testing.assert_array_equal(out.onehot, expected.onehot)
