@@ -1,6 +1,7 @@
 """Command-line front door: data generation, training, presets, curve export.
 
-Subcommands: ``gen-data``, ``train``, ``eval``, ``preset``, ``emit-curves``.
+Subcommands: ``gen-data``, ``train``, ``validate``, ``eval``, ``preset``,
+``emit-curves``.
 Every training run writes a manifest (resolved config + seed + artifact
 hashes) sufficient to reproduce its metrics bit for bit. Errors exit
 nonzero with a single machine-parseable ``error:<category>: ...`` line.
@@ -39,11 +40,6 @@ EXIT_CODES = {"config": 2, "input": 2, "format": 3, "state": 4, "training": 5,
 # desk-scale dataset defaults
 SHAPES_SPEC = dict(n_train=192, n_eval=64, h=16, w=16, k=6, rare_freq=0.12)
 MNIST_TRAIN, MNIST_EVAL = 60_000, 2_000
-
-
-def _log(msg: str) -> None:
-    if os.environ.get("RML_LAB_VERBOSE", "") not in ("", "0"):
-        print(msg, file=sys.stderr)
 
 
 def sha256_file(path) -> str:
@@ -278,10 +274,8 @@ def _ensure_data(dataset: str, data_dir, seed: int) -> Path:
     data_dir = Path(data_dir)
     if (data_dir / "images.idx").exists():
         return data_dir
-    args = argparse.Namespace(dataset=dataset, out=str(data_dir), seed=seed,
-                              n=None, n_eval=None, size=None, k=None,
-                              rare_freq=None, mnist_dir=None)
-    cmd_gen_data(args)
+    cmd_gen_data(build_parser().parse_args(
+        ["gen-data", "--dataset", dataset, "--out", str(data_dir), "--seed", str(seed)]))
     return data_dir
 
 
@@ -310,7 +304,7 @@ def preset_fig2_divergence(out: Path, data: Path | None, seed: int) -> dict:
         cfg = _preset_cfg("mnist", data_dir, out / name, variant=variant,
                           noise_input=noise, noise_model=noise, seed=seed,
                           **MNIST_TRAIN_KW)
-        _log(f"fig2-divergence: running {name}")
+        print(f"fig2-divergence: running {name}", file=sys.stderr)
         summary = run_training(cfg, out / name)
         results[name] = summary
         curve = [{"iteration": r["iteration"], "tv_teachers": r["tv_teachers"]}
@@ -351,7 +345,7 @@ def preset_ablation_table(out: Path, data: Path | None, seed: int) -> dict:
         runs = []
         for s in range(ABLATION_SEEDS):
             run_out = out / row / f"seed{s}"
-            _log(f"ablation-table: {row} seed {s}")
+            print(f"ablation-table: {row} seed {s}", file=sys.stderr)
             summary = _shapes_run(run_out, data_dir, seed + s, **overrides)
             runs.append(summary)
         entry = {
@@ -376,7 +370,7 @@ def preset_threshold_sweep(out: Path, data: Path | None, seed: int) -> dict:
     mious = {}
     for tau in taus:
         run_out = out / f"tau{tau:g}"
-        _log(f"threshold-sweep: tau={tau}")
+        print(f"threshold-sweep: tau={tau}", file=sys.stderr)
         summary = _shapes_run(run_out, data_dir, seed, variant="rml", stages=1,
                               tau=tau)
         mious[f"{tau:g}"] = summary["final_miou"]

@@ -267,6 +267,27 @@ def save_dataset(outdir, train: Dataset, eval_set: Dataset, meta: dict) -> list[
     return paths
 
 
+def _read_pair(img_path: Path, lab_path: Path, k: int) -> Dataset:
+    """One images/labels pair of IDX files as a Dataset; uint8 images are
+    scaled to [0,1]. Labels that do not fit the images or K are a FormatError."""
+    images = read_idx(img_path)
+    labels = read_idx(lab_path).astype(np.int64)
+    if images.dtype == np.uint8:
+        images = images.astype(np.float32) / 255.0
+    images = images.astype(np.float32)
+    if images.ndim == 3:  # single channel stored without axis
+        images = images[..., None]
+    if labels.ndim == 1:
+        labels = labels.reshape(-1, 1, 1)
+    # one label map per image: 1x1 for classification, else the image's HxW
+    if len(labels) != len(images) or labels.shape[1:] not in ((1, 1), images.shape[1:3]):
+        raise FormatError(f"{lab_path}: labels of shape {labels.shape} do not "
+                          f"match {img_path.name} of shape {images.shape}")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
+        raise FormatError(f"{lab_path}: label values outside [0, K={k})")
+    return Dataset(images, labels, np.arange(len(images), dtype=np.int64))
+
+
 def load_dataset(datadir):
     """Load a dataset directory; returns ``(train, eval_set, meta)``."""
     datadir = Path(datadir)
@@ -283,26 +304,9 @@ def load_dataset(datadir):
     if not isinstance(meta, dict) or not isinstance(meta.get("num_classes"), int):
         raise FormatError(f"{meta_path}: expected a JSON object with an integer num_classes")
 
-    def load_pair(img_name, lab_name):
-        images = read_idx(datadir / img_name)
-        labels = read_idx(datadir / lab_name).astype(np.int64)
-        if images.dtype == np.uint8:
-            images = images.astype(np.float32) / 255.0
-        images = images.astype(np.float32)
-        if images.ndim == 3:  # single channel stored without axis
-            images = images[..., None]
-        if labels.ndim == 1:
-            labels = labels.reshape(-1, 1, 1)
-        # one label map per image: 1x1 for classification, else the image's HxW
-        if len(labels) != len(images) or labels.shape[1:] not in ((1, 1), images.shape[1:3]):
-            raise FormatError(f"{datadir / lab_name}: labels of shape {labels.shape} do not "
-                              f"match {img_name} of shape {images.shape}")
-        if labels.max(initial=0) >= meta["num_classes"]:
-            raise FormatError(f"{lab_name}: label values exceed K={meta['num_classes']}")
-        return Dataset(images, labels, np.arange(len(images), dtype=np.int64))
-
-    train = load_pair("images.idx", "labels.idx")
-    eval_set = load_pair("eval_images.idx", "eval_labels.idx")
+    k = meta["num_classes"]
+    train = _read_pair(datadir / "images.idx", datadir / "labels.idx", k)
+    eval_set = _read_pair(datadir / "eval_images.idx", datadir / "eval_labels.idx", k)
     return train, eval_set, meta
 
 
@@ -335,13 +339,5 @@ def ingest_mnist_idx(mnist_dir) -> tuple[Dataset, Dataset]:
                 break
         else:
             raise FormatError(f"missing MNIST file for {key} in {mnist_dir}")
-
-    def build(img_path, lab_path):
-        images = read_idx(img_path).astype(np.float32) / 255.0
-        labels = read_idx(lab_path).astype(np.int64)
-        n = len(images)
-        return Dataset(images[..., None], labels.reshape(n, 1, 1),
-                       np.arange(n, dtype=np.int64))
-
-    return (build(found["train_images"], found["train_labels"]),
-            build(found["test_images"], found["test_labels"]))
+    return (_read_pair(found["train_images"], found["train_labels"], 10),
+            _read_pair(found["test_images"], found["test_labels"], 10))

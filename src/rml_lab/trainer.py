@@ -5,7 +5,8 @@ students, an unlabeled step (CutMix pair, per-learner pseudo labels, one
 SGD step per student on the peer+self terms), then batch prototypes, bank
 momentum updates and the teacher EMA updates, in that order. Stage
 boundaries recompute the frozen soft pseudo labels from the mean teachers
-and restart the loop on them.
+and restart the loop on them. The supervised variant is the run with zero
+stages: its metrics records come from the baseline's own training.
 
 The variants differ only in where a learner's pseudo labels come from and
 which loss terms apply. :func:`pseudo_labels` is the one source, used by
@@ -259,21 +260,15 @@ def _supervised_step(model: NetModel, images, targets, weak_strength: float, lr:
     return loss
 
 
-def _write_summary(out_path: Path | None, summary: dict) -> None:
-    if out_path is not None:
-        (out_path / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # baseline
 # ---------------------------------------------------------------------------
 
 
 def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0,
-                   seed: int | None = None, eval_set: Dataset | None = None,
-                   records: list | None = None) -> NetModel:
-    """Supervised training on weakly augmented labeled data only."""
+                   seed: int | None = None, on_eval=None) -> NetModel:
+    """Supervised training on weakly augmented labeled data only; calls
+    ``on_eval(iteration, lr, loss, model)``, if given, every eval interval."""
     if len(labeled) == 0:
         raise ConfigError("baseline training needs a nonempty labeled set")
     seed = cfg.seed if seed is None else seed
@@ -286,16 +281,24 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
         lr = poly_lr(cfg.lr, it, cfg.baseline_iterations, cfg.lr_power)
         loss = _supervised_step(model, labeled.images[idx], targets[idx], cfg.weak_strength,
                                 lr, rng_aug, rng_noise, f"baseline loss at iteration {it}")
-        if records is not None and (it + 1) % cfg.eval_interval == 0:
-            miou, acc = evaluate_model(model, eval_set, k, cfg.eval_subset)
-            records.append(MetricsRecord(
-                iteration=it + 1, stage=0, lr=lr,
-                loss_labeled=[loss], loss_unlabeled=None,
-                miou_students=[miou], acc_students=[acc],
-                miou_teachers=None, acc_teachers=None,
-                tv_teachers=None, tv_students=None, pseudo_acc=None,
-            ))
+        if on_eval is not None and (it + 1) % cfg.eval_interval == 0:
+            on_eval(it + 1, lr, loss, model)
     return model
+
+
+def _start_models(labeled: Dataset, cfg: RmlConfig, k: int, on_eval):
+    """The supervised run's one model, or the models stage 1 starts from: one
+    shared baseline, one per learner of a heterogeneous pair, or two fresh
+    initializations for mutual learning from scratch."""
+    if cfg.variant == "supervised":
+        return train_baseline(labeled, cfg, k, on_eval=on_eval)
+    if not cfg.init_from_baseline:
+        return tuple(_build_learner(cfg, i, k, labeled.images, labeled.labels,
+                                    seed=cfg.seed + 101 * (i + 1)) for i in range(2))
+    if cfg.arch_pair[0] == cfg.arch_pair[1] and cfg.feature_dim[0] == cfg.feature_dim[1]:
+        return train_baseline(labeled, cfg, k)
+    return tuple(train_baseline(labeled, cfg, k, arch_index=i, seed=cfg.seed + i)
+                 for i in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +495,16 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
             k: int, baselines=None, out_dir=None) -> RunResult:
     """Full stage-wise run; emits one metrics record per eval interval.
 
-    ``baselines``: optional pretrained model (or pair) to reuse. Metrics are
-    appended to ``out_dir/metrics.jsonl`` as they are produced, so partial
-    output survives a failure; checkpoints are written at stage boundaries.
+    ``baselines``: optional pretrained model (or pair) to reuse. The
+    supervised variant runs zero stages: its records are the baseline's, and
+    its one model is ``baseline.ckpt``. Metrics are appended to
+    ``out_dir/metrics.jsonl`` as they are produced, so partial output
+    survives a failure; checkpoints are written at stage boundaries.
     """
     cfg.validate()
-    if (len(unlabeled) > 0 and unlabeled.labels.shape[1:] == (1, 1)
-            and cfg.use_cutmix and cfg.variant != "supervised"):
+    stages = 0 if cfg.variant == "supervised" else cfg.stages
+    if (stages and len(unlabeled) > 0 and unlabeled.labels.shape[1:] == (1, 1)
+            and cfg.use_cutmix):
         raise ConfigError("use_cutmix requires per-pixel labels; disable it "
                           "for vector classification datasets")
     records: list[MetricsRecord] = []
@@ -514,40 +520,22 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
             sink.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
             sink.flush()
 
-    try:
-        if cfg.variant == "supervised":
-            baseline_records: list[MetricsRecord] = []
-            model = train_baseline(labeled, cfg, k, eval_set=eval_set,
-                                   records=baseline_records)
-            for rec in baseline_records:
-                emit(rec)
-            miou, acc = evaluate_model(model, eval_set, k, cfg.eval_subset)
-            summary = {
-                "variant": cfg.variant, "seed": cfg.seed,
-                "final_miou": miou, "final_acc": acc,
-                "final_miou_students": [miou], "stages": [],
-                "initial_pseudo_acc": None, "final_pseudo_acc": None,
-            }
-            if out_path is not None:
-                save_checkpoint(out_path / "baseline.ckpt", model)
-            _write_summary(out_path, summary)
-            return RunResult(None, records, summary)
+    def emit_baseline(it: int, lr: float, loss: float, model: NetModel):
+        miou, acc = evaluate_model(model, eval_set, k, cfg.eval_subset)
+        emit(MetricsRecord(
+            iteration=it, stage=0, lr=lr, loss_labeled=[loss], loss_unlabeled=None,
+            miou_students=[miou], acc_students=[acc],
+            miou_teachers=None, acc_teachers=None,
+            tv_teachers=None, tv_students=None, pseudo_acc=None,
+        ))
 
-        hetero = (cfg.arch_pair[0] != cfg.arch_pair[1]
-                  or cfg.feature_dim[0] != cfg.feature_dim[1])
+    def save(name: str, model: NetModel, extra):
+        if out_path is not None:
+            save_checkpoint(out_path / f"{name}.ckpt", model, extra)
+
+    try:
         if baselines is None:
-            if not cfg.init_from_baseline:
-                # mutual learning from scratch with distinct initializations
-                baselines = tuple(
-                    _build_learner(cfg, i, k, labeled.images, labeled.labels,
-                                   seed=cfg.seed + 101 * (i + 1))
-                    for i in range(2))
-            elif hetero:
-                baselines = tuple(
-                    train_baseline(labeled, cfg, k, arch_index=i, seed=cfg.seed + i)
-                    for i in range(2))
-            else:
-                baselines = train_baseline(labeled, cfg, k)
+            baselines = _start_models(labeled, cfg, k, emit_baseline)
 
         streams = np.random.SeedSequence([cfg.seed, 0x51A6E]).spawn(8)
         rng_data = np.random.default_rng(streams[0])
@@ -565,7 +553,8 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
 
         summary: dict = {"variant": cfg.variant, "seed": cfg.seed, "stages": [],
                          "initial_pseudo_acc": None}
-        for stage in range(1, cfg.stages + 1):
+        quad = None
+        for stage in range(1, stages + 1):
             quad, stores = init_stage(baselines, labeled, unlabeled, cfg, k, stage=stage)
             if stage == 1 and stores[0] is not None and pseudo_sub is not None:
                 init_hard = harden_with_threshold(
@@ -613,22 +602,26 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                 "pseudo_acc": last.pseudo_acc,
                 "tv_teachers": last.tv_teachers,
             })
-            if out_path is not None:
-                for i in range(2):
-                    extra = (bank_tensors(quad.banks[i])
-                             if quad.banks[i] is not None else None)
-                    save_checkpoint(out_path / f"stage{stage}_student{i + 1}.ckpt",
-                                    quad.students[i], extra)
-                    save_checkpoint(out_path / f"stage{stage}_teacher{i + 1}.ckpt",
-                                    quad.teachers[i], extra)
+            for i in range(2):
+                extra = bank_tensors(quad.banks[i]) if quad.banks[i] is not None else None
+                save(f"stage{stage}_student{i + 1}", quad.students[i], extra)
+                save(f"stage{stage}_teacher{i + 1}", quad.teachers[i], extra)
             baselines = tuple(quad.teachers)
-        last = records[-1]
-        summary["final_miou"] = float(np.mean(last.miou_teachers))
-        summary["final_miou_students"] = last.miou_students
-        summary["final_miou_teachers"] = last.miou_teachers
-        summary["final_pseudo_acc"] = last.pseudo_acc
-        summary["final_tv_teachers"] = last.tv_teachers
-        _write_summary(out_path, summary)
+        if stages:
+            summary.update(final_miou=float(np.mean(last.miou_teachers)),
+                           final_miou_students=last.miou_students,
+                           final_miou_teachers=last.miou_teachers,
+                           final_pseudo_acc=last.pseudo_acc,
+                           final_tv_teachers=last.tv_teachers)
+        else:
+            model = baselines if isinstance(baselines, NetModel) else baselines[0]
+            save("baseline", model, None)
+            miou, acc = evaluate_model(model, eval_set, k, cfg.eval_subset)
+            summary.update(final_miou=miou, final_acc=acc, final_miou_students=[miou],
+                           final_pseudo_acc=None)
+        if out_path is not None:
+            (out_path / "summary.json").write_text(
+                json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return RunResult(quad, records, summary)
     finally:
         if sink is not None:

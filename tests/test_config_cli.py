@@ -181,6 +181,35 @@ def test_gen_data_zero_or_negative_is_one_config_error(tmp_path, capsys, dataset
     assert not out.exists()
 
 
+@pytest.mark.parametrize("train_labels", [np.arange(5), np.r_[np.arange(9), 200]],
+                         ids=["five-labels-for-ten-images", "label-200"])
+def test_gen_data_mnist_dir_with_bad_labels_is_one_format_error(tmp_path, capsys,
+                                                                train_labels):
+    mnist = tmp_path / "mnist"
+    mnist.mkdir()
+    images = np.random.default_rng(0).integers(0, 256, (10, 28, 28)).astype(np.uint8)
+    for prefix, labels in (("train", train_labels), ("t10k", np.arange(10))):
+        write_idx(images, mnist / f"{prefix}-images-idx3-ubyte")
+        write_idx(labels.astype(np.uint8), mnist / f"{prefix}-labels-idx1-ubyte")
+    out = tmp_path / "data"
+    rc = cli.main(["gen-data", "--dataset", "mnist", "--mnist-dir", str(mnist),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith("error:format:") and "train-labels-idx1-ubyte" in err[0]
+    assert not out.exists()
+
+
+def test_preset_data_is_the_gen_data_default(tmp_path, capsys):
+    assert cli.main(["gen-data", "--dataset", "shapes", "--out", str(tmp_path / "cli"),
+                     "--seed", "777"]) == 0
+    hashes = json.loads(capsys.readouterr().out)["hashes"]
+    cli._ensure_data("shapes", tmp_path / "preset", seed=777)
+    assert json.loads(capsys.readouterr().out)["hashes"] == hashes
+
+
 def test_only_the_digits_generator_imports_scipy(tmp_path):
     script = "\n".join([
         "import sys",

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -107,10 +108,12 @@ def test_baseline_deterministic(shapes_data):
 def test_baseline_improves_over_init(shapes_data):
     labeled, _, ev = shapes_data
     cfg = tiny_cfg(baseline_iterations=120)
-    records = []
-    train_baseline(labeled, cfg, k=K, eval_set=ev, records=records)
-    assert records[-1].loss_labeled[0] < records[0].loss_labeled[0] + 0.5
-    assert np.isfinite(records[-1].miou_students[0])
+    evals = []
+    train_baseline(labeled, cfg, k=K, on_eval=lambda it, lr, loss, model: evals.append(
+        (it, loss, evaluate_model(model, ev, K, cfg.eval_subset)[0])))
+    assert [it for it, _, _ in evals] == list(range(15, 121, 15))
+    assert evals[-1][1] < evals[0][1] + 0.5
+    assert np.isfinite(evals[-1][2])
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +480,29 @@ def test_run_supervised_matches_train_baseline(shapes_data, tmp_path):
         np.testing.assert_array_equal(model.params[key], direct.params[key])
     miou, _ = evaluate_model(direct, ev, K, cfg.eval_subset)
     assert res.summary["final_miou"] == pytest.approx(miou)
+
+
+def test_failed_supervised_run_keeps_the_records_it_emitted(shapes_data, tmp_path,
+                                                             monkeypatch):
+    labeled, unlabeled, ev = shapes_data
+    cfg = tiny_cfg(variant="supervised")   # 60 iterations, one eval every 15
+    run_rml(labeled, unlabeled, ev, cfg, k=K, out_dir=tmp_path / "whole")
+    whole = (tmp_path / "whole" / "metrics.jsonl").read_text().splitlines()
+    step, calls = trainer._supervised_step, []
+
+    def fails_at_41(*args):
+        calls.append(1)
+        if len(calls) == 41:
+            raise TrainingError("planted failure at iteration 41")
+        return step(*args)
+
+    monkeypatch.setattr(trainer, "_supervised_step", fails_at_41)
+    with pytest.raises(TrainingError, match="planted"):
+        run_rml(labeled, unlabeled, ev, cfg, k=K, out_dir=tmp_path / "cut")
+    cut = (tmp_path / "cut" / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["iteration"] for line in cut] == [15, 30]
+    assert cut == whole[:2]
+    assert not (tmp_path / "cut" / "summary.json").exists()
 
 
 def test_run_rml_single_stage_contract(shapes_data):
