@@ -4,7 +4,14 @@ Subcommands: ``gen-data``, ``train``, ``validate``, ``eval``, ``preset``,
 ``emit-curves``.
 Every training run writes a manifest (resolved config + seed + artifact
 hashes) sufficient to reproduce its metrics bit for bit. Errors exit
-nonzero with a single machine-parseable ``error:<category>: ...`` line.
+nonzero with a single machine-parseable ``error:<category>: ...`` line;
+every success prints one JSON document on stdout.
+
+A preset is data in ``PRESETS``: a dataset, shared training keywords, a
+seed count, named rows of overrides and named seed-paired comparisons.
+``run_preset`` trains each row at each seed into ``<out>/<row>/seed<s>`` and
+reports every run's summary verbatim beside the comparisons; the curves of
+all runs come from ``emit-curves --metrics <out>``.
 """
 
 from __future__ import annotations
@@ -104,36 +111,44 @@ class OutputLock:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
-    out = Path(args.out)
-    if args.dataset == "shapes":
-        # a flag not given is None; 0 is a value, which the generator checks
-        n = SHAPES_SPEC["n_train"] if args.n is None else args.n
-        ne = SHAPES_SPEC["n_eval"] if args.n_eval is None else args.n_eval
-        h = w = SHAPES_SPEC["h"] if args.size is None else args.size
-        k = SHAPES_SPEC["k"] if args.k is None else args.k
-        rare = SHAPES_SPEC["rare_freq"] if args.rare_freq is None else args.rare_freq
-        train = generate_shapes_dataset(n, h, w, k, rare, seed=args.seed)
-        ev = generate_shapes_dataset(ne, h, w, k, rare, seed=args.seed + 1_000_003)
+def generate_data(dataset: str, out, seed: int, n=None, n_eval=None, size=None, k=None,
+                  rare_freq=None, mnist_dir=None) -> dict:
+    """Write a dataset directory; returns its path and the files' hashes.
+    A size left None takes the default; 0 is a value, which the generator
+    checks."""
+    if dataset == "shapes":
+        n = SHAPES_SPEC["n_train"] if n is None else n
+        ne = SHAPES_SPEC["n_eval"] if n_eval is None else n_eval
+        h = w = SHAPES_SPEC["h"] if size is None else size
+        k = SHAPES_SPEC["k"] if k is None else k
+        rare = SHAPES_SPEC["rare_freq"] if rare_freq is None else rare_freq
+        train = generate_shapes_dataset(n, h, w, k, rare, seed=seed)
+        ev = generate_shapes_dataset(ne, h, w, k, rare, seed=seed + 1_000_003)
         meta = {"dataset": "shapes", "num_classes": k, "source": "synthetic-shapes",
-                "seed": args.seed, "n_train": n, "n_eval": ne}
+                "seed": seed, "n_train": n, "n_eval": ne}
     else:
-        if args.mnist_dir:
-            train, ev = ingest_mnist_idx(args.mnist_dir)
+        if mnist_dir:
+            train, ev = ingest_mnist_idx(mnist_dir)
             source = "mnist-idx"
         else:
             print("warning: no --mnist-dir with real MNIST IDX files; "
                   "generating the synthetic digits stand-in", file=sys.stderr)
-            n = MNIST_TRAIN if args.n is None else args.n
-            ne = MNIST_EVAL if args.n_eval is None else args.n_eval
-            train = generate_digits_dataset(n, seed=args.seed)
-            ev = generate_digits_dataset(ne, seed=args.seed + 1_000_003)
+            n = MNIST_TRAIN if n is None else n
+            ne = MNIST_EVAL if n_eval is None else n_eval
+            train = generate_digits_dataset(n, seed=seed)
+            ev = generate_digits_dataset(ne, seed=seed + 1_000_003)
             source = "synthetic-digits"
         meta = {"dataset": "mnist", "num_classes": 10, "source": source,
-                "seed": args.seed, "n_train": len(train), "n_eval": len(ev)}
-    paths = save_dataset(_make_out_dir(out), train, ev, meta)
-    hashes = {p.name: sha256_file(p) for p in paths}
-    print(json.dumps({"out": str(out), "hashes": hashes}, indent=2, sort_keys=True))
+                "seed": seed, "n_train": len(train), "n_eval": len(ev)}
+    out = _make_out_dir(out)
+    paths = save_dataset(out, train, ev, meta)
+    return {"out": str(out), "hashes": {p.name: sha256_file(p) for p in paths}}
+
+
+def cmd_gen_data(args) -> int:
+    result = generate_data(args.dataset, args.out, args.seed, args.n, args.n_eval,
+                           args.size, args.k, args.rare_freq, args.mnist_dir)
+    print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
@@ -228,7 +243,7 @@ def emit_curves(metrics_dir, out_dir=None) -> tuple[int, int]:
     series: dict[str, dict[int, float]] = {}
     warnings = 0
     for jl in sorted(metrics_dir.glob("**/metrics.jsonl")):
-        prefix = "" if jl.parent == metrics_dir else jl.parent.name + "_"
+        prefix = "".join(part + "_" for part in jl.parent.relative_to(metrics_dir).parts)
         seen: set[int] = set()
         for line in jl.read_text().splitlines():
             if not line.strip():
@@ -265,24 +280,10 @@ def cmd_emit_curves(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _preset_cfg(dataset: str, data_dir, out_dir, **train_kw) -> ExperimentConfig:
-    return ExperimentConfig(dataset=dataset, data_dir=str(data_dir),
-                            out_dir=str(out_dir), train=RmlConfig(**train_kw)).validate()
-
-
-def _ensure_data(dataset: str, data_dir, seed: int) -> Path:
-    data_dir = Path(data_dir)
-    if (data_dir / "images.idx").exists():
-        return data_dir
-    cmd_gen_data(build_parser().parse_args(
-        ["gen-data", "--dataset", dataset, "--out", str(data_dir), "--seed", str(seed)]))
-    return data_dir
-
-
 # calibrated desk-scale hyperparameters shared by the shapes presets
 SHAPES_TRAIN = dict(
     arch_pair=("cnn", "cnn"), feature_dim=16, labeled_fraction=1 / 8,
-    lr=0.08, baseline_iterations=1200, iterations=1200, batch_labeled=4,
+    lr=0.08, baseline_iterations=1200, iterations=1200, stages=1, batch_labeled=4,
     batch_unlabeled=4, eval_interval=200, eval_subset=64, pseudo_subset=96,
     weak_strength=0.2, strong_strength=1.0, alpha=0.99, lam=0.999,
 )
@@ -295,137 +296,111 @@ MNIST_TRAIN_KW = dict(
     strong_strength=1.0, alpha=0.99,
 )
 
+NO_NOISE = dict(noise_input=False, noise_model=False)
 
-def preset_fig2_divergence(out: Path, data: Path | None, seed: int) -> dict:
-    data_dir = _ensure_data("mnist", data or out / "data", seed=1234)
-    results = {}
-    for name, variant, noise in (("direct", "direct_ml", False),
-                                 ("indirect_noise", "iml_noise", True)):
-        cfg = _preset_cfg("mnist", data_dir, out / name, variant=variant,
-                          noise_input=noise, noise_model=noise, seed=seed,
-                          **MNIST_TRAIN_KW)
-        print(f"fig2-divergence: running {name}", file=sys.stderr)
-        summary = run_training(cfg, out / name)
-        results[name] = summary
-        curve = [{"iteration": r["iteration"], "tv_teachers": r["tv_teachers"]}
-                 for r in map(json.loads,
-                              (out / name / "metrics.jsonl").read_text().splitlines())]
-        with open(out / f"divergence_{name}.jsonl", "w") as fh:
-            for row in curve:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    summary = {
-        "preset": "fig2-divergence", "seed": seed,
-        "tv_direct_final": results["direct"]["final_tv_teachers"],
-        "tv_indirect_noise_final": results["indirect_noise"]["final_tv_teachers"],
-    }
-    return summary
-
-
-def _shapes_run(out, data_dir, seed, **overrides) -> dict:
-    kw = dict(SHAPES_TRAIN)
-    kw.update(overrides)
-    cfg = _preset_cfg("shapes", data_dir, out, seed=seed, **kw)
-    return run_training(cfg, out)
-
-
-ABLATION_SEEDS = 3
-ABLATION_ROWS = {
-    "supervised": dict(variant="supervised", stages=1),
-    "iml": dict(variant="iml", stages=1, noise_input=False, noise_model=False),
-    "iml_noise": dict(variant="iml_noise", stages=1),
-    "rml": dict(variant="rml", stages=2),
-    "rml_tsoftmax": dict(variant="rml", stages=1, confidence_source="teacher_softmax"),
-}
-
-
-def preset_ablation_table(out: Path, data: Path | None, seed: int) -> dict:
-    data_dir = _ensure_data("shapes", data or out / "data", seed=777)
-    table: dict[str, dict] = {}
-    for row, overrides in ABLATION_ROWS.items():
-        runs = []
-        for s in range(ABLATION_SEEDS):
-            run_out = out / row / f"seed{s}"
-            print(f"ablation-table: {row} seed {s}", file=sys.stderr)
-            summary = _shapes_run(run_out, data_dir, seed + s, **overrides)
-            runs.append(summary)
-        entry = {
-            "miou_mean": float(np.mean([r["final_miou"] for r in runs])),
-            "miou_std": float(np.std([r["final_miou"] for r in runs])),
-            "miou_runs": [r["final_miou"] for r in runs],
-        }
-        if runs[0].get("stages"):
-            entry["stage_mious"] = [
-                [st["final_miou"] for st in r["stages"]] for r in runs]
-        if runs[0].get("initial_pseudo_acc") is not None:
-            entry["initial_pseudo_acc"] = [r["initial_pseudo_acc"] for r in runs]
-            entry["final_pseudo_acc"] = [r["final_pseudo_acc"] for r in runs]
-        table[row] = entry
-    summary = {"preset": "ablation-table", "seed": seed, "rows": table}
-    return summary
-
-
-def preset_threshold_sweep(out: Path, data: Path | None, seed: int) -> dict:
-    data_dir = _ensure_data("shapes", data or out / "data", seed=777)
-    taus = (0.0, 0.6, 0.9)
-    mious = {}
-    for tau in taus:
-        run_out = out / f"tau{tau:g}"
-        print(f"threshold-sweep: tau={tau}", file=sys.stderr)
-        summary = _shapes_run(run_out, data_dir, seed, variant="rml", stages=1,
-                              tau=tau)
-        mious[f"{tau:g}"] = summary["final_miou"]
-    vals = list(mious.values())
-    summary = {"preset": "threshold-sweep", "seed": seed, "miou_by_tau": mious,
-               "spread": float(max(vals) - min(vals))}
-    return summary
-
-
-def preset_hetero_pair(out: Path, data: Path | None, seed: int) -> dict:
-    data_dir = _ensure_data("shapes", data or out / "data", seed=777)
-    base_mlp = _shapes_run(out / "baseline_mlp", data_dir, seed,
-                           variant="supervised", stages=1, arch_pair="mlp",
-                           feature_dim=24, lr=0.15)
-    base_cnn = _shapes_run(out / "baseline_cnn", data_dir, seed,
-                           variant="supervised", stages=1)
-    pair = _shapes_run(out / "pair", data_dir, seed, variant="iml", stages=1,
-                       arch_pair=("mlp", "cnn"), feature_dim=(24, 16),
-                       noise_input=False, noise_model=False, lr=0.1)
-    summary = {
-        "preset": "hetero-pair", "seed": seed,
-        "baseline_mlp_miou": base_mlp["final_miou"],
-        "baseline_cnn_miou": base_cnn["final_miou"],
-        "pair_student_mlp_miou": pair["final_miou_students"][0],
-        "pair_student_cnn_miou": pair["final_miou_students"][1],
-        "pair_teacher_mious": pair["final_miou_teachers"],
-    }
-    return summary
-
-
-def preset_stage_sweep(out: Path, data: Path | None, seed: int) -> dict:
-    data_dir = _ensure_data("shapes", data or out / "data", seed=777)
-    summary_run = _shapes_run(out / "rml3", data_dir, seed, variant="rml", stages=3)
-    summary = {
-        "preset": "stage-sweep", "seed": seed,
-        "stage_mious": [st["final_miou"] for st in summary_run["stages"]],
-    }
-    return summary
-
-
+# A preset trains each row (the shared ``train`` keywords updated by the row's
+# overrides) at seeds ``--seed`` .. ``--seed + seeds - 1``. A comparison
+# ``(a, b, metric, stage)`` pairs rows a and b seed by seed on one metric of
+# ``summary["stages"][stage - 1]``; a seed is A's when its value is higher.
 PRESETS = {
-    "fig2-divergence": preset_fig2_divergence,
-    "ablation-table": preset_ablation_table,
-    "threshold-sweep": preset_threshold_sweep,
-    "hetero-pair": preset_hetero_pair,
-    "stage-sweep": preset_stage_sweep,
+    "fig2-divergence": dict(
+        dataset="mnist", data_seed=1234, train=MNIST_TRAIN_KW, seeds=1,
+        rows={"direct": dict(variant="direct_ml", **NO_NOISE),
+              "indirect_noise": dict(variant="iml_noise")},
+        comparisons={"mean_teacher_tv": ("indirect_noise", "direct", "tv_teachers", 1)}),
+    "ablation-table": dict(
+        dataset="shapes", data_seed=777, train=SHAPES_TRAIN, seeds=3,
+        rows={"supervised": dict(variant="supervised"),
+              "direct_ml": dict(variant="direct_ml", **NO_NOISE),
+              "iml": dict(variant="iml", **NO_NOISE),
+              "iml_noise": dict(variant="iml_noise"),
+              "rml": dict(variant="rml", stages=2),
+              "rml_tsoftmax": dict(variant="rml", stages=2,
+                                   confidence_source="teacher_softmax")},
+        comparisons={
+            "mean_teacher_tv": ("iml", "direct_ml", "tv_teachers", 1),
+            "mean_teacher_miou": ("iml", "direct_ml", "final_miou", 1),
+            "noise_miou": ("iml_noise", "iml", "final_miou", 1),
+            "rectify_miou": ("rml", "iml_noise", "final_miou", 1),
+            "rectify_pseudo_acc": ("rml", "iml_noise", "pseudo_acc", 1),
+            "prototype_miou_stage1": ("rml", "rml_tsoftmax", "final_miou", 1),
+            "prototype_miou_stage2": ("rml", "rml_tsoftmax", "final_miou", 2),
+            "prototype_pseudo_acc_stage1": ("rml", "rml_tsoftmax", "pseudo_acc", 1),
+            "prototype_pseudo_acc_stage2": ("rml", "rml_tsoftmax", "pseudo_acc", 2)}),
+    "threshold-sweep": dict(
+        dataset="shapes", data_seed=777, train=SHAPES_TRAIN, seeds=1,
+        rows={f"tau{tau:g}": dict(variant="rml", tau=tau) for tau in (0.0, 0.6, 0.9)},
+        comparisons={f"tau{tau}_miou": (f"tau{tau}", "tau0", "final_miou", 1)
+                     for tau in ("0.6", "0.9")}),
+    "hetero-pair": dict(
+        dataset="shapes", data_seed=777, train=SHAPES_TRAIN, seeds=1,
+        rows={"baseline_mlp": dict(variant="supervised", arch_pair="mlp", feature_dim=24,
+                                   lr=0.15),
+              "baseline_cnn": dict(variant="supervised"),
+              "pair": dict(variant="iml", arch_pair=("mlp", "cnn"), feature_dim=(24, 16),
+                           lr=0.1, **NO_NOISE)},
+        comparisons={}),
+    "stage-sweep": dict(
+        dataset="shapes", data_seed=777, train=SHAPES_TRAIN, seeds=1,
+        rows={"rml3": dict(variant="rml", stages=3)}, comparisons={}),
 }
+
+
+def _ensure_data(dataset: str, data_dir, seed: int) -> Path:
+    data_dir = Path(data_dir)
+    if not (data_dir / "images.idx").exists():
+        generate_data(dataset, data_dir, seed)
+    return data_dir
+
+
+def compare_runs(a_runs: list, b_runs: list, metric: str, stage: int) -> dict:
+    """Seed-paired difference A - B of one stage metric, with its spread and
+    how many seeds A won (a higher value) or tied. ``pseudo_acc`` is the
+    mean of the two learners'."""
+    def value(summary):
+        v = summary["stages"][stage - 1][metric]
+        return float(np.mean(v)) if metric == "pseudo_acc" else v
+
+    deltas = [value(a) - value(b) for a, b in zip(a_runs, b_runs)]
+    return {"deltas": deltas, "mean": float(np.mean(deltas)), "min": min(deltas),
+            "max": max(deltas), "wins": sum(d > 0 for d in deltas),
+            "ties": sum(d == 0 for d in deltas)}
+
+
+def run_preset(name: str, out: Path, data_dir: Path, seed: int) -> dict:
+    """Train every row of a preset at each of its seeds into
+    ``<out>/<row>/seed<s>``; returns the rows' summaries and comparisons."""
+    spec = PRESETS[name]
+    rows = {}
+    for row, overrides in spec["rows"].items():
+        runs = []
+        for s in range(spec["seeds"]):
+            print(f"{name}: {row} seed {s}", file=sys.stderr)
+            run_out = out / row / f"seed{s}"
+            train = RmlConfig(**{**spec["train"], **overrides, "seed": seed + s})
+            cfg = ExperimentConfig(data_dir=str(data_dir), out_dir=str(run_out),
+                                   train=train).validate()
+            runs.append(run_training(cfg, run_out))
+        mious = [r["final_miou"] for r in runs]
+        rows[row] = {"runs": runs, "miou_mean": float(np.mean(mious)),
+                     "miou_std": float(np.std(mious))}
+    comparisons = {
+        key: {"a": a, "b": b, "metric": metric, "stage": stage,
+              **compare_runs(rows[a]["runs"], rows[b]["runs"], metric, stage)}
+        for key, (a, b, metric, stage) in spec["comparisons"].items()}
+    return {"preset": name, "seed": seed, "rows": rows, "comparisons": comparisons}
 
 
 def cmd_preset(args) -> int:
     if args.name not in PRESETS:
         raise ConfigError(f"unknown preset {args.name!r}; available: {sorted(PRESETS)}")
+    if args.data:
+        load_dataset(args.data)  # a bad --data is an error before anything is created
     out = _make_out_dir(args.out)
-    summary = PRESETS[args.name](out, Path(args.data) if args.data else None,
-                                 args.seed)
+    spec = PRESETS[args.name]
+    data_dir = (Path(args.data) if args.data else
+                _ensure_data(spec["dataset"], out / "data", spec["data_seed"]))
+    summary = run_preset(args.name, out, data_dir, args.seed)
     text = json.dumps(summary, indent=2, sort_keys=True)
     (out / "preset_summary.json").write_text(text + "\n")
     print(text)
@@ -481,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
 COMMANDS = {
     "gen-data": cmd_gen_data,
     "train": cmd_train,
@@ -492,8 +469,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except RmlError as exc:

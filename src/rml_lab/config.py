@@ -12,17 +12,13 @@ from pathlib import Path
 from .errors import ConfigError
 from .trainer import RmlConfig
 
-DATASETS = ("mnist", "shapes")
-
 
 @dataclass
 class ExperimentConfig:
     """Everything a training run needs beyond the dataset files themselves."""
 
-    dataset: str = "shapes"
     data_dir: str = "data"
     out_dir: str = "runs/out"
-    preset: str | None = None
     train: RmlConfig = dataclasses.field(default_factory=RmlConfig)
 
     def to_dict(self) -> dict:
@@ -33,15 +29,12 @@ class ExperimentConfig:
         return blob
 
     def validate(self) -> "ExperimentConfig":
-        if self.dataset not in DATASETS:
-            raise ConfigError(f"dataset must be one of {DATASETS}, got {self.dataset!r}",
-                              "dataset")
         self.train.validate()
         return self
 
 
 _TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(RmlConfig))
-_TOP_FIELDS = ("dataset", "data_dir", "out_dir", "preset")
+_TOP_FIELDS = ("data_dir", "out_dir")
 # the declared type of every field a config file may set
 _FIELD_TYPES = {**typing.get_type_hints(RmlConfig), **typing.get_type_hints(ExperimentConfig)}
 

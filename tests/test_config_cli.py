@@ -40,7 +40,7 @@ def test_empty_config_fills_defaults(tmp_path):
     assert dump["stages"] == 2
     assert dump["alpha"] == 0.99
     assert dump["lam"] == pytest.approx(0.999)
-    assert dump["dataset"] == "shapes"
+    assert "dataset" not in dump and "preset" not in dump
 
 
 def test_out_of_range_value_names_field(tmp_path):
@@ -93,7 +93,8 @@ def test_bad_value_error_names_its_own_line_once(tmp_path, capsys):
 
 
 def test_manifest_bad_value_names_its_resolved_config_line(tmp_path, capsys):
-    # "dataset" is also a key of dataset_meta, above resolved_config
+    # "dataset" is also a key of dataset_meta, above resolved_config; it is
+    # no config field, so a manifest that still holds it names its line
     cfg = json.loads(resolved_dump(validate_config(write_config(tmp_path, {}))))
     cfg["dataset"] = "cifar"
     manifest = {"dataset_meta": {"dataset": "shapes"}, "resolved_config": cfg}
@@ -105,7 +106,7 @@ def test_manifest_bad_value_names_its_resolved_config_line(tmp_path, capsys):
     assert rc == cli.EXIT_CODES["config"]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith(f"error:config: {path}:{line}: dataset must be one of")
+    assert err[0] == f"error:config: {path}:{line}: unknown field(s) ['dataset']"
 
 
 def test_resolved_dump_is_fixpoint(tmp_path):
@@ -206,8 +207,9 @@ def test_preset_data_is_the_gen_data_default(tmp_path, capsys):
     assert cli.main(["gen-data", "--dataset", "shapes", "--out", str(tmp_path / "cli"),
                      "--seed", "777"]) == 0
     hashes = json.loads(capsys.readouterr().out)["hashes"]
-    cli._ensure_data("shapes", tmp_path / "preset", seed=777)
-    assert json.loads(capsys.readouterr().out)["hashes"] == hashes
+    preset_data = cli._ensure_data("shapes", tmp_path / "preset", seed=777)
+    assert capsys.readouterr().out == ""
+    assert {name: cli.sha256_file(preset_data / name) for name in hashes} == hashes
 
 
 def test_only_the_digits_generator_imports_scipy(tmp_path):
@@ -229,7 +231,7 @@ def test_only_the_digits_generator_imports_scipy(tmp_path):
 
 def quick_train_blob(data_dir, out_dir):
     return {
-        "dataset": "shapes", "data_dir": str(data_dir), "out_dir": str(out_dir),
+        "data_dir": str(data_dir), "out_dir": str(out_dir),
         "variant": "rml", "feature_dim": 8, "iterations": 10, "stages": 1,
         "baseline_iterations": 20, "eval_interval": 10, "eval_subset": 8,
         "pseudo_subset": 8, "labeled_fraction": 0.25, "seed": 3,
@@ -374,10 +376,19 @@ def test_emit_curves_orders_and_dedups(tmp_path, capsys):
     with open(tmp_path / "metrics.jsonl", "w") as fh:
         for rec in lines:
             fh.write((rec if isinstance(rec, str) else json.dumps(rec)) + "\n")
+    # two preset rows hold a seed0 run each: a series is named by the run's
+    # path below --metrics, so neither row overwrites the other
+    for row, tv in (("rml", 0.25), ("iml", 0.9)):
+        (tmp_path / row / "seed0").mkdir(parents=True)
+        (tmp_path / row / "seed0" / "metrics.jsonl").write_text(
+            json.dumps({"iteration": 10, "tv_teachers": tv}) + "\n")
     rc = cli.main(["emit-curves", "--metrics", str(tmp_path)])
     assert rc == 0
     res = json.loads(capsys.readouterr().out)
     assert res["warnings"] == 2  # one malformed line + one duplicate iteration
+    for row, tv in (("rml", 0.25), ("iml", 0.9)):
+        rows = (tmp_path / "curves" / f"{row}_seed0_tv_teachers.csv").read_text()
+        assert rows.splitlines() == ["iteration,value", f"10,{tv}"]
     tv = (tmp_path / "curves" / "tv_teachers.csv").read_text().splitlines()
     assert tv[0] == "iteration,value"
     assert [row.split(",")[0] for row in tv[1:]] == ["10", "20", "30"]
@@ -405,12 +416,129 @@ def test_unknown_preset_errors(tmp_path, capsys):
     assert "error:config:" in capsys.readouterr().err
 
 
-def test_preset_writes_the_summary_it_prints(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli.PRESETS, "tiny", lambda out, data, seed: {"seed": seed})
-    assert cli.main(["preset", "tiny", "--out", str(tmp_path), "--seed", "4"]) == 0
+TINY_TRAIN = dict(arch_pair=("mlp", "mlp"), feature_dim=8, hidden=8, labeled_fraction=0.25,
+                  baseline_iterations=4, iterations=4, eval_interval=2, eval_subset=4,
+                  pseudo_subset=4, batch_labeled=2, batch_unlabeled=2)
+
+
+@pytest.fixture
+def tiny_preset(monkeypatch):
+    """A 2-row x 2-seed preset that trains in well under a second."""
+    monkeypatch.setitem(cli.PRESETS, "tiny", dict(
+        dataset="shapes", data_seed=777, train=TINY_TRAIN, seeds=2,
+        rows={"rml": dict(variant="rml", stages=2),
+              "iml_noise": dict(variant="iml_noise", stages=2)},
+        comparisons={"rectify": ("rml", "iml_noise", "pseudo_acc", 2)}))
+
+
+def test_preset_writes_the_summary_it_prints(tmp_path, capsys, tiny_preset):
+    out = tmp_path / "preset"
+    assert cli.main(["preset", "tiny", "--out", str(out), "--seed", "4"]) == 0
     printed = capsys.readouterr().out
-    assert json.loads(printed) == {"seed": 4}
-    assert (tmp_path / "preset_summary.json").read_text() == printed
+    summary = json.loads(printed)  # the whole of stdout is one JSON document
+    assert (out / "preset_summary.json").read_text() == printed
+    assert summary["preset"] == "tiny" and summary["seed"] == 4
+    assert sorted(summary["rows"]) == ["iml_noise", "rml"]
+    for row, entry in summary["rows"].items():
+        runs = entry["runs"]
+        for s, run in enumerate(runs):
+            run_dir = out / row / f"seed{s}"
+            assert run == json.loads((run_dir / "summary.json").read_text())
+            assert run["seed"] == 4 + s and run["variant"] == row
+            assert (run_dir / "manifest.json").exists()
+        mious = [run["final_miou"] for run in runs]
+        assert entry["miou_mean"] == pytest.approx(np.mean(mious))
+        assert entry["miou_std"] == pytest.approx(np.std(mious))
+    cmp = summary["comparisons"]["rectify"]
+    assert (cmp["a"], cmp["b"], cmp["metric"], cmp["stage"]) == ("rml", "iml_noise",
+                                                                 "pseudo_acc", 2)
+    assert cmp == {**cmp, **cli.compare_runs(summary["rows"]["rml"]["runs"],
+                                             summary["rows"]["iml_noise"]["runs"],
+                                             "pseudo_acc", 2)}
+    assert len(cmp["deltas"]) == 2
+    # a given --data is read, not generated, and the same seeds give the same runs
+    again = tmp_path / "again"
+    assert cli.main(["preset", "tiny", "--out", str(again), "--seed", "4",
+                     "--data", str(out / "data")]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == summary["rows"]
+    assert not (again / "data").exists()
+
+
+def stages_summary(*stages):
+    return {"stages": [dict(final_miou=m, pseudo_acc=p, tv_teachers=tv)
+                       for m, p, tv in stages]}
+
+
+def test_comparison_is_a_seed_paired_difference():
+    a = [stages_summary((0.5, [1.0, 0.5], 0.25), (0.75, [1.0, 1.0], 0.5)),
+         stages_summary((0.375, [0.5, 0.5], 0.125), (0.5, [0.5, 0.25], 0.5)),
+         stages_summary((0.75, [0.25, 0.75], 0.5), (0.25, [0.0, 0.5], 0.0))]
+    b = [stages_summary((0.25, [0.5, 0.5], 0.5), (0.75, [0.5, 0.5], 0.5)),
+         stages_summary((0.5, [0.5, 0.5], 0.125), (0.25, [0.5, 0.5], 0.5)),
+         stages_summary((0.75, [0.5, 0.5], 0.25), (0.5, [0.5, 0.5], 0.25))]
+    miou = cli.compare_runs(a, b, "final_miou", 1)
+    assert miou == {"deltas": [0.25, -0.125, 0.0], "mean": pytest.approx(0.125 / 3),
+                    "min": -0.125, "max": 0.25, "wins": 1, "ties": 1}
+    # pseudo accuracy is the mean of the two learners'
+    pseudo = cli.compare_runs(a, b, "pseudo_acc", 1)
+    assert pseudo["deltas"] == [0.25, 0.0, 0.0] and (pseudo["wins"], pseudo["ties"]) == (1, 2)
+    tv = cli.compare_runs(a, b, "tv_teachers", 2)
+    assert tv == {"deltas": [0.0, 0.0, -0.25], "mean": pytest.approx(-0.25 / 3),
+                  "min": -0.25, "max": 0.0, "wins": 0, "ties": 2}
+    assert cli.compare_runs(a, b, "pseudo_acc", 2)["deltas"] == [0.5, -0.125, -0.25]
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_preset_table_is_well_formed(name):
+    spec = cli.PRESETS[name]
+    assert spec["dataset"] in ("shapes", "mnist") and spec["seeds"] >= 1
+    stages = {}
+    for row, overrides in spec["rows"].items():
+        cfg = RmlConfig(**{**spec["train"], **overrides})
+        cfg.validate()
+        stages[row] = 0 if cfg.variant == "supervised" else cfg.stages
+    for a, b, metric, stage in spec["comparisons"].values():
+        assert metric in ("final_miou", "pseudo_acc", "tv_teachers")
+        assert 1 <= stage <= min(stages[a], stages[b])
+
+
+def test_ablation_compares_equal_stage_counts():
+    rows = cli.PRESETS["ablation-table"]["rows"]
+    assert rows["rml"]["stages"] == rows["rml_tsoftmax"]["stages"] == 2
+    assert rows["direct_ml"]["variant"] == "direct_ml"
+    assert {k: v for k, v in rows["direct_ml"].items() if k != "variant"} == {
+        k: v for k, v in rows["iml"].items() if k != "variant"}
+
+
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+def test_preset_with_a_bad_data_dir_is_one_format_error_and_creates_nothing(
+        tmp_path, capsys, make):
+    data = tmp_path / "typo"
+    if make:
+        data.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(["preset", "stage-sweep", "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:format:") and str(data) in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_one_process_runs_several_commands_with_one_parser(tmp_path, capsys, monkeypatch):
+    def no_second_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_second_parser)
+    cfg_path = write_config(tmp_path, {"stages": 3})
+    assert cli.main(["validate", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"] == 3
+    assert cli.main(["emit-curves", "--metrics", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"series": 0, "warnings": 0}
+    assert cli.main(["validate", "--config", str(write_config(tmp_path, {}, "b.json"))]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"] == 2
 
 
 def test_malformed_config_json_is_one_config_error(tmp_path, capsys):
