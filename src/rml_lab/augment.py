@@ -13,7 +13,6 @@ from math import ceil
 import numpy as np
 
 from .errors import InputError
-from .netcore import class_sum
 
 
 # magnitudes at strength 1; photometric scales each by its strength
@@ -84,26 +83,11 @@ def mix_images(x1: np.ndarray, x2: np.ndarray, m) -> np.ndarray:
     return mm[..., None] * x1 + (1.0 - mm[..., None]) * x2
 
 
-def _check_onehot(y: np.ndarray, name: str) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if not np.all((y == 0.0) | (y == 1.0)) or not np.all(class_sum(y) == 1.0):
-        raise InputError(f"{name} is not one-hot per pixel")
-    return y
-
-
-def mix_label_maps(y1: np.ndarray, y2: np.ndarray, m) -> np.ndarray:
-    """CutMix of one-hot label maps: ``y1`` inside the rect, ``y2`` outside."""
-    y1 = _check_onehot(y1, "y1")
-    y2 = _check_onehot(y2, "y2")
-    if y1.shape != y2.shape:
-        raise InputError(f"label shape mismatch: {y1.shape} vs {y2.shape}")
-    mm = _mask_array(m, y1.shape[-3:-1], "labels")
-    return mm[..., None] * y1 + (1.0 - mm[..., None]) * y2
-
-
-def mix_valid_masks(v1: np.ndarray, v2: np.ndarray, m) -> np.ndarray:
-    """Mix threshold gates with the same rectangle as their label maps."""
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    mm = _mask_array(m, v1.shape[-2:], "valid masks")
-    return mm * v1 + (1.0 - mm) * v2
+def mix_label_maps(a: np.ndarray, b: np.ndarray, m) -> np.ndarray:
+    """CutMix of per-pixel maps (labels, gates): ``a`` where ``m`` is 1,
+    ``b`` elsewhere; ``m`` may be (H,W) or (N,H,W)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise InputError(f"map shape mismatch: {a.shape} vs {b.shape}")
+    return np.where(_mask_array(m, a.shape[-2:], "maps") == 1, a, b)

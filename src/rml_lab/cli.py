@@ -39,7 +39,7 @@ from .data import (
 from .errors import ConfigError, FormatError, RmlError, StateError
 from .metrics import segmentation_scores
 from .netcore import load_checkpoint
-from .trainer import RmlConfig, run_rml, soft_predictions
+from .trainer import RmlConfig, check_seed, run_rml, soft_predictions
 
 EXIT_CODES = {"config": 2, "input": 2, "format": 3, "state": 4, "training": 5,
               "internal": 1}
@@ -116,6 +116,7 @@ def generate_data(dataset: str, out, seed: int, n=None, n_eval=None, size=None, 
     """Write a dataset directory; returns its path and the files' hashes.
     A size left None takes the default; 0 is a value, which the generator
     checks."""
+    check_seed(seed)
     if dataset == "shapes":
         n = SHAPES_SPEC["n_train"] if n is None else n
         ne = SHAPES_SPEC["n_eval"] if n_eval is None else n_eval
@@ -187,6 +188,7 @@ def cmd_train(args) -> int:
     cfg = validate_config(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
+        cfg.validate()
     if args.data:
         cfg.data_dir = args.data
     out = Path(args.out) if args.out else Path(cfg.out_dir)
@@ -322,7 +324,6 @@ PRESETS = {
             "mean_teacher_miou": ("iml", "direct_ml", "final_miou", 1),
             "noise_miou": ("iml_noise", "iml", "final_miou", 1),
             "rectify_miou": ("rml", "iml_noise", "final_miou", 1),
-            "rectify_pseudo_acc": ("rml", "iml_noise", "pseudo_acc", 1),
             "prototype_miou_stage1": ("rml", "rml_tsoftmax", "final_miou", 1),
             "prototype_miou_stage2": ("rml", "rml_tsoftmax", "final_miou", 2),
             "prototype_pseudo_acc_stage1": ("rml", "rml_tsoftmax", "pseudo_acc", 1),
@@ -394,8 +395,9 @@ def run_preset(name: str, out: Path, data_dir: Path, seed: int) -> dict:
 def cmd_preset(args) -> int:
     if args.name not in PRESETS:
         raise ConfigError(f"unknown preset {args.name!r}; available: {sorted(PRESETS)}")
+    check_seed(args.seed)   # a bad --seed or --data is an error before anything is created
     if args.data:
-        load_dataset(args.data)  # a bad --data is an error before anything is created
+        load_dataset(args.data)
     out = _make_out_dir(args.out)
     spec = PRESETS[args.name]
     data_dir = (Path(args.data) if args.data else

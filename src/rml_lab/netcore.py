@@ -12,8 +12,8 @@ all of it (see :func:`load_checkpoint`).
 
 A model computes in the dtype of its params: float32 as
 :func:`build_model` makes them, float64 once its params are cast (the
-finite-difference tests do so). Inputs, loss targets and masks are cast to
-that dtype, and every buffer, gate, mask and gradient takes it. Random
+finite-difference tests do so). Inputs and loss masks are cast to that
+dtype, and every buffer, gate, mask and gradient takes it. Random
 draws are float64 and cast afterwards, so a float64 model draws and
 computes exactly as a float64 engine would. Softmax keeps the logits'
 dtype. Everything outside this module (augmentation, prototypes,
@@ -25,9 +25,12 @@ resolution (classification tasks use ``H = W = 1`` with the image flattened
 into channels).
 
 One loss serves every training step: :func:`loss_and_gradients` runs one
-forward pass, scores a list of ``(target, pixel_mask)`` cross-entropy
-terms against it after checking each term's target and mask, and
-backpropagates the sum of the per-term losses once.
+forward pass, scores a list of ``(labels, pixel_mask)`` cross-entropy
+terms against it and backpropagates the sum of the per-term losses once.
+Every target is hard, so ``labels`` is an integer class map, checked for
+its shape and its range: a term's loss gathers ``log p`` at the label, and
+its logit gradient is ``p`` with 1 taken off at the label. Those are the
+bits of the one-hot formulas ``-sum_k y_k log p_k`` and ``p - y``.
 
 Eval-mode forwards run over chunks of whole images, about
 ``EVAL_CHUNK_PIXELS`` pixels each, and concatenate the results. A large
@@ -500,27 +503,28 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
 
 def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
                        rng: np.random.Generator | None = None):
-    """Forward, cross entropy for each ``(target, pixel_mask)`` term, backward.
+    """Forward, cross entropy for each ``(labels, pixel_mask)`` term, backward.
 
-    Each ``target`` is ``(N,H,W,K)`` with normalized per-pixel rows (one-hot
-    or soft); each ``pixel_mask`` is ``(N,H,W)``, 1 for pixels included in
-    that term, or ``None`` for all pixels. A term's loss is its mean over
-    its unmasked pixels, 0 when it has none. Returns ``(per_term_losses,
-    grads)``, the gradients of the sum of the per-term losses; when no term
-    has a pixel they are zero.
+    Each ``labels`` is an ``(N,H,W)`` integer map of classes in ``[0, K)``;
+    each ``pixel_mask`` is ``(N,H,W)``, 1 for pixels included in that term,
+    or ``None`` for all pixels. A term's loss is its mean over its unmasked
+    pixels, 0 when it has none. Returns ``(per_term_losses, grads)``, the
+    gradients of the sum of the per-term losses; when no term has a pixel
+    they are zero.
     """
     feats, logits, cache = _forward(m, x, rng, want_cache=True)
+    k = logits.shape[-1]
     logp = log_softmax(logits)
     p = np.exp(logp)
     dlogits = np.zeros_like(logits)
     losses = []
     any_pixels = False
-    for target, pixel_mask in terms:
-        target = np.asarray(target, dtype=logits.dtype)
-        if target.shape != logits.shape:
-            raise InputError(f"target shape {target.shape} does not match logits {logits.shape}")
-        if np.any(np.abs(class_sum(target) - 1.0) > 1e-4) or np.any(target < -1e-9):
-            raise InputError("target rows must be normalized distributions")
+    for labels, pixel_mask in terms:
+        labels = np.asarray(labels)
+        if labels.shape != logits.shape[:-1]:
+            raise InputError(f"labels shape {labels.shape} does not match {logits.shape[:-1]}")
+        if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels >= k)):
+            raise InputError(f"labels must be integer classes in [0, {k})")
         if pixel_mask is None:
             mask = np.ones(logits.shape[:-1], logits.dtype)
         else:
@@ -532,9 +536,11 @@ def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
             losses.append(0.0)
             continue
         any_pixels = True
-        ce = np.negative(class_sum(target * logp)[..., 0])
+        at = labels.ravel() + k * np.arange(labels.size)   # flat index of each label
+        ce = np.negative(logp.reshape(-1)[at]).reshape(mask.shape)
         losses.append(float(np.multiply(ce, mask, out=ce).sum() / n))
-        d = p - target
+        d = p.copy()
+        d.reshape(-1)[at] -= 1
         d *= mask[..., None]
         dlogits += np.divide(d, n, out=d)
     grads = _backward(m, cache, dlogits) if any_pixels else m.zero_grads()

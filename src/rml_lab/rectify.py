@@ -7,6 +7,10 @@ the current confidence map and re-hardens them
 (:func:`rectified_labels`). The labels of the two halves of a CutMix pair
 are rectified separately and mixed by the trainer, like every variant's
 pseudo labels.
+
+A soft prediction is a plain ``(N,H,W,K)`` probability array. A hardened
+one is :class:`HardLabels`: the ``(N,H,W)`` integer class map and its
+threshold gate, the form every loss term and metric takes.
 """
 
 from __future__ import annotations
@@ -20,23 +24,25 @@ from .errors import InputError, StateError
 from .netcore import class_max, class_sum, softmax
 from .protobank import confidence_weights
 
-# SoftPrediction is a plain (N,H,W,K) probability array; OneHotMap wraps the
-# hardened labels together with their threshold gate.
-
-
 @dataclass
-class OneHotMap:
-    """Hard labels in both forms plus the threshold gate.
+class HardLabels:
+    """Hard labels plus their threshold gate.
 
-    ``onehot`` is ``(N,H,W,K)`` with exactly one 1 per pixel and ``labels``
-    the ``(N,H,W)`` class index of that 1; ``valid`` is ``(N,H,W)``, 0 where
-    the prediction fell below the threshold and must not contribute to
-    losses.
+    ``labels`` is the ``(N,H,W)`` integer class map and ``valid`` is
+    ``(N,H,W)``, 0 where the prediction fell below the threshold and must
+    not contribute to losses.
     """
 
-    onehot: np.ndarray
-    valid: np.ndarray
     labels: np.ndarray
+    valid: np.ndarray
+    num_classes: int
+
+    @property
+    def onehot(self) -> np.ndarray:
+        """The ``(N,H,W,K)`` one-hot form of ``labels``. Nothing in the
+        package reads it; only the traced benchmark's rectification hook
+        does (``benchmarks/layers.py:96``)."""
+        return np.eye(self.num_classes)[self.labels]
 
 
 class StagePseudoStore:
@@ -66,21 +72,19 @@ def teacher_predict(teacher, x: np.ndarray, weak_strength: float,
     return teacher.forward(photometric(x, weak_strength, rng))
 
 
-def harden_with_threshold(p: np.ndarray, tau: float) -> OneHotMap:
-    """One-hot of the per-pixel argmax; ``valid`` iff ``max_k p_k > tau``.
+def harden_with_threshold(p: np.ndarray, tau: float) -> HardLabels:
+    """The per-pixel argmax class of ``p``; ``valid`` iff ``max_k p_k > tau``.
 
     Ties break toward the lowest class index.
     """
     p = np.asarray(p, dtype=np.float64)
     if not 0.0 <= tau < 1.0:
         raise InputError(f"tau out of [0,1): {tau}")
-    labels = p.argmax(axis=-1)
-    onehot = np.eye(p.shape[-1])[labels]
     valid = (class_max(p)[..., 0] > tau).astype(np.float64)
-    return OneHotMap(onehot, valid, labels)
+    return HardLabels(p.argmax(axis=-1), valid, p.shape[-1])
 
 
-def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, int]:
+def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[HardLabels, int]:
     """Rectify frozen soft labels with confidence weights and re-harden.
 
     Per pixel the rectified class is ``argmax_k omega_k * p0_k``; the
@@ -101,15 +105,13 @@ def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[OneHotMap, i
     if fallback:   # where the product vanishes, p0 stands in for it
         prod[dead], norm[dead] = p0[dead], 1.0
     labels = prod.argmax(axis=-1)
-    conf = class_max(prod / norm)[..., 0]
-    onehot = np.eye(p0.shape[-1])[labels]
-    valid = (conf > tau).astype(np.float64)
-    return OneHotMap(onehot, valid, labels), fallback
+    valid = (class_max(prod / norm)[..., 0] > tau).astype(np.float64)
+    return HardLabels(labels, valid, p0.shape[-1]), fallback
 
 
 def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
                      weak_strength: float, tau: float, rng,
-                     confidence_source: str = "prototype") -> tuple[OneHotMap, np.ndarray, int]:
+                     confidence_source: str = "prototype") -> tuple[HardLabels, np.ndarray, int]:
     """Denoise one unlabeled batch; returns ``(labels, teacher_feats, fallbacks)``.
 
     The teacher sees ``x`` perturbed at ``weak_strength``.

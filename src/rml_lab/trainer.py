@@ -28,13 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import (
-    mix_images,
-    mix_label_maps,
-    mix_valid_masks,
-    photometric,
-    sample_rect_mask,
-)
+from .augment import mix_images, mix_label_maps, photometric, sample_rect_mask
 from .data import Dataset
 from .errors import ConfigError, TrainingError
 from .metrics import pseudo_accuracy, segmentation_scores, tv_distance
@@ -51,7 +45,7 @@ from .netcore import (
 )
 from .protobank import bank_tensors, batch_prototypes, init_bank, update_bank
 from .rectify import (
-    OneHotMap,
+    HardLabels,
     StagePseudoStore,
     harden_with_threshold,
     rectified_labels,
@@ -59,6 +53,12 @@ from .rectify import (
 )
 
 VARIANTS = ("supervised", "direct_ml", "iml", "iml_noise", "rml")
+
+
+def check_seed(seed: int) -> None:
+    """A seed is a nonnegative int, as NumPy's seed sequences require."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0: {seed}", "seed")
 
 
 def _pair(value) -> tuple:
@@ -119,12 +119,13 @@ class RmlConfig:
             v = getattr(self, name)
             if not lo <= v <= hi:
                 raise ConfigError(f"{name} out of range [{lo},{hi}]: {v}", name)
+        check_seed(self.seed)
         for name in ("iterations", "stages", "batch_labeled", "batch_unlabeled",
                      "baseline_iterations", "eval_interval", "eval_subset",
                      "pseudo_subset", "hidden", "patch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1", name)
-        for name in ("lr", "weak_strength", "strong_strength"):
+        for name in ("lr", "lr_power", "weak_strength", "strong_strength"):
             v = getattr(self, name)
             if not 0 <= v < float("inf"):
                 raise ConfigError(f"{name} must be finite and nonnegative: {v}", name)
@@ -199,10 +200,6 @@ def poly_lr(base: float, it: int, total: int, power: float) -> float:
     return base * (1.0 - it / total) ** power
 
 
-def onehot_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    return np.eye(k)[np.asarray(labels, dtype=np.int64)]
-
-
 def in_channels_for(arch: str, images: np.ndarray, labels: np.ndarray) -> int:
     """Channels the model sees; vector tasks feed mlp the flattened image."""
     n, h, w, ch = images.shape
@@ -248,12 +245,12 @@ def _sample(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return rng.choice(n, size=size, replace=n < size)
 
 
-def _supervised_step(model: NetModel, images, targets, weak_strength: float, lr: float,
+def _supervised_step(model: NetModel, images, labels, weak_strength: float, lr: float,
                      rng_aug, rng_noise, what: str) -> float:
-    """Weak augmentation, one cross-entropy term on ``targets``, one SGD step;
+    """Weak augmentation, one cross-entropy term on ``labels``, one SGD step;
     ``what`` names the loss in the error if it is not finite."""
     x = photometric(images, weak_strength, rng_aug)
-    (loss,), grads = loss_and_gradients(model, x, [(targets, None)], rng=rng_noise)
+    (loss,), grads = loss_and_gradients(model, x, [(labels, None)], rng=rng_noise)
     if not np.isfinite(loss):
         raise TrainingError(f"non-finite {what}")
     sgd_step(model, grads, lr)
@@ -275,11 +272,10 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
     ss = np.random.SeedSequence([seed, 0xBA5E])
     rng_data, rng_aug, rng_noise = [np.random.default_rng(s) for s in ss.spawn(3)]
     model = _build_learner(cfg, arch_index, k, labeled.images, labeled.labels, seed)
-    targets = onehot_labels(labeled.labels, k)
     for it in range(cfg.baseline_iterations):
         idx = _sample(rng_data, len(labeled), cfg.batch_labeled)
         lr = poly_lr(cfg.lr, it, cfg.baseline_iterations, cfg.lr_power)
-        loss = _supervised_step(model, labeled.images[idx], targets[idx], cfg.weak_strength,
+        loss = _supervised_step(model, labeled.images[idx], labeled.labels[idx], cfg.weak_strength,
                                 lr, rng_aug, rng_noise, f"baseline loss at iteration {it}")
         if on_eval is not None and (it + 1) % cfg.eval_interval == 0:
             on_eval(it + 1, lr, loss, model)
@@ -355,16 +351,15 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
 
 
 def labeled_step(quad: ModelQuad, images: np.ndarray, labels: np.ndarray,
-                 cfg: RmlConfig, lr: float, k: int, rngs) -> list:
+                 cfg: RmlConfig, lr: float, rngs) -> list:
     """One supervised SGD step per student; teachers untouched."""
-    targets = onehot_labels(labels, k)
-    return [_supervised_step(student, images, targets, cfg.weak_strength, lr, rngs[i],
+    return [_supervised_step(student, images, labels, cfg.weak_strength, lr, rngs[i],
                              rngs[i], "labeled loss")
             for i, student in enumerate(quad.students)]
 
 
 def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlConfig,
-                  rng) -> tuple[OneHotMap, np.ndarray, int]:
+                  rng) -> tuple[HardLabels, np.ndarray, int]:
     """Learner ``i``'s pseudo labels for one unlabeled batch, from the source
     its variant names (see the module docstring).
 
@@ -384,14 +379,14 @@ def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlC
     return harden_with_threshold(softmax(logits), cfg.tau), feats, 0
 
 
-def _mix_halves(halves: list, masks) -> OneHotMap:
-    """CutMix the label maps of a pair's two halves; one half passes through."""
+def _mix_halves(halves: list, masks) -> HardLabels:
+    """CutMix the labels and gates of a pair's two halves; one half passes
+    through."""
     if len(halves) == 1:
         return halves[0]
     y1, y2 = halves
-    return OneHotMap(mix_label_maps(y1.onehot, y2.onehot, masks),
-                     mix_valid_masks(y1.valid, y2.valid, masks),
-                     np.where(masks == 1, y1.labels, y2.labels))
+    return HardLabels(mix_label_maps(y1.labels, y2.labels, masks),
+                      mix_label_maps(y1.valid, y2.valid, masks), y1.num_classes)
 
 
 def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
@@ -429,9 +424,9 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
         xs = (photometric(x_mix, cfg.strong_strength, rngs["student"][i])
               if cfg.noise_input else x_mix.copy())
         peer, own = labels[1 - i], labels[i]
-        terms = [(peer.onehot, peer.valid)]
+        terms = [(peer.labels, peer.valid)]
         if cfg.variant != "direct_ml":
-            terms.append((own.onehot, own.valid))
+            terms.append((own.labels, own.valid))
         term_losses, grads = loss_and_gradients(student, xs, terms,
                                                 rng=rngs["student"][i])
         total = float(sum(term_losses))
@@ -565,8 +560,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                 lr = poly_lr(cfg.lr, it, cfg.iterations, cfg.lr_power)
                 li = _sample(rng_data, len(labeled), cfg.batch_labeled)
                 lab_imgs, lab_labels = labeled.images[li], labeled.labels[li]
-                losses_l = labeled_step(quad, lab_imgs, lab_labels, cfg, lr, k,
-                                        rngs_labeled)
+                losses_l = labeled_step(quad, lab_imgs, lab_labels, cfg, lr, rngs_labeled)
                 losses_u = None
                 if len(unlabeled) > 0:
                     n_halves = 2 if cfg.use_cutmix else 1

@@ -39,8 +39,9 @@ def float64_copy(model):
 
 
 # The formulas below are the ones rml_lab computed before its small-tensor
-# rewrite (class-axis sums as column adds, in-place buffers, one bincount);
-# the tests require the rewrite to give the same bits.
+# rewrite (class-axis sums as column adds, in-place buffers, one bincount)
+# and before hard labels became integer maps (the one-hot loss and the float
+# CutMix mix); the tests require each rewrite to give the same bits.
 
 
 def class_sums_per_dim(features, assign, k):
@@ -73,19 +74,31 @@ def confidence_weights_expanded(features, eta, pi, seen):
 
 def loss_terms(logits, terms):
     """Per-term cross-entropy losses and the summed logit gradient of
-    ``loss_and_gradients`` for ``(target, mask)`` terms with unmasked pixels."""
+    ``loss_and_gradients`` for ``(labels, mask)`` terms, by the one-hot
+    formulas ``-sum_k y_k log p_k`` and ``p - y``; a term with no unmasked
+    pixel has loss 0 and no gradient."""
     zs = logits - logits.max(axis=-1, keepdims=True)
     logp = zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
     dlogits = np.zeros_like(logits)
     losses = []
-    for target, mask in terms:
-        target = np.asarray(target, dtype=logits.dtype)
+    for labels, mask in terms:
+        target = np.eye(logits.shape[-1], dtype=logits.dtype)[labels]
         mask = np.asarray(mask, dtype=logits.dtype)
         n = mask.sum()
+        if n == 0:
+            losses.append(0.0)
+            continue
         losses.append(float((-(target * logp).sum(axis=-1) * mask).sum() / n))
         dlogits += (p - target) * mask[..., None] / n
     return losses, dlogits
+
+
+def float_mix(a, b, m):
+    """``m*a + (1-m)*b``: the float CutMix of one-hot label maps and of gates
+    that integer label maps replaced."""
+    m = np.asarray(m, dtype=np.float64)
+    return m * a + (1.0 - m) * b
 
 
 def upsample_tokens(tok, th, tw, pp):

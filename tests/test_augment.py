@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rml_lab.augment import (
-    mix_images,
-    mix_label_maps,
-    mix_valid_masks,
-    photometric,
-    sample_rect_mask,
-)
+from rml_lab.augment import mix_images, mix_label_maps, photometric, sample_rect_mask
 from rml_lab.errors import InputError
+
+from oracles import float_mix
 
 
 def imgs(n=2, h=6, w=6, c=3, seed=0):
@@ -154,14 +150,10 @@ def test_mix_images_shape_mismatch():
         mix_images(imgs(), imgs(h=5, w=5), np.ones((6, 6)))
 
 
-def onehot(labels, k):
-    return np.eye(k)[labels]
-
-
 def test_mix_labels_identity_and_idempotence():
     rng = np.random.default_rng(0)
-    y1 = onehot(rng.integers(0, 3, (2, 4, 4)), 3)
-    y2 = onehot(rng.integers(0, 3, (2, 4, 4)), 3)
+    y1 = rng.integers(0, 3, (2, 4, 4))
+    y2 = rng.integers(0, 3, (2, 4, 4))
     np.testing.assert_array_equal(mix_label_maps(y1, y2, np.ones((4, 4))), y1)
     m = sample_rect_mask(4, 4, rng)
     np.testing.assert_array_equal(mix_label_maps(y1, y1, m), y1)
@@ -172,26 +164,41 @@ def test_mix_labels_per_pixel_selection():
     l1 = rng.integers(0, 3, (1, 4, 4))
     l2 = rng.integers(0, 3, (1, 4, 4))
     m = sample_rect_mask(4, 4, rng)
-    out = mix_label_maps(onehot(l1, 3), onehot(l2, 3), m)
-    expected = np.where(m[None].astype(bool), l1, l2)
-    np.testing.assert_array_equal(out.argmax(axis=-1), expected)
-    # output stays one-hot
-    assert np.all(out.sum(axis=-1) == 1.0)
-    assert np.all((out == 0) | (out == 1))
+    out = mix_label_maps(l1, l2, m)
+    assert out.dtype == l1.dtype
+    np.testing.assert_array_equal(out, np.where(m[None].astype(bool), l1, l2))
 
 
-def test_mix_labels_rejects_non_onehot():
-    y = np.full((1, 2, 2, 2), 0.5)
-    with pytest.raises(InputError):
-        mix_label_maps(y, y, np.ones((2, 2)))
+def test_mix_label_maps_rejects_mismatched_shapes():
+    y = np.zeros((2, 4, 4), dtype=np.int64)
+    with pytest.raises(InputError, match="map shape"):
+        mix_label_maps(y, y[:1], np.ones((4, 4)))
+    with pytest.raises(InputError, match="mask shape"):
+        mix_label_maps(y, y, np.ones((4, 5)))
 
 
 def test_mix_valid_masks_selects():
     v1 = np.ones((1, 4, 4))
     v2 = np.zeros((1, 4, 4))
     m = sample_rect_mask(4, 4, np.random.default_rng(2))
-    out = mix_valid_masks(v1, v2, m)
+    out = mix_label_maps(v1, v2, m)
     np.testing.assert_array_equal(out, m[None])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mix_label_maps_gives_the_bits_of_the_float_mix(seed):
+    # integer labels against the float mix of their one-hot forms, and 0/1
+    # gates against their float mix, with one mask and with one per image
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 11))
+    n, h, w = 3, int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    l1, l2 = rng.integers(0, k, (2, n, h, w))
+    v1, v2 = (rng.random((2, n, h, w)) < 0.6).astype(np.float64)
+    for m in (sample_rect_mask(h, w, rng),
+              np.stack([sample_rect_mask(h, w, rng) for _ in range(n)])):
+        want = float_mix(np.eye(k)[l1], np.eye(k)[l2], m[..., None])
+        assert np.eye(k)[mix_label_maps(l1, l2, m)].tobytes() == want.tobytes()
+        assert mix_label_maps(v1, v2, m).tobytes() == float_mix(v1, v2, m).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -211,10 +218,11 @@ def test_mask_invariants_property(seed, h, w):
 def test_mixing_preserves_onehot_and_range(seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 5))
-    y1 = onehot(rng.integers(0, k, (1, 6, 6)), k)
-    y2 = onehot(rng.integers(0, k, (1, 6, 6)), k)
+    y1 = rng.integers(0, k, (1, 6, 6))
+    y2 = rng.integers(0, k, (1, 6, 6))
     m = sample_rect_mask(6, 6, rng)
     out = mix_label_maps(y1, y2, m)
-    assert np.all(out.sum(axis=-1) == 1.0)
+    assert np.all((out == y1) | (out == y2))
+    assert np.all(np.eye(k)[out].sum(axis=-1) == 1.0)
     x = mix_images(rng.random((1, 6, 6, 3)), rng.random((1, 6, 6, 3)), m)
     assert x.min() >= 0.0 and x.max() <= 1.0

@@ -62,7 +62,9 @@ def test_architecture_sizes_must_be_positive(tmp_path, field):
     ("weak_strength", -0.1, "must be finite and nonnegative"),
     ("weak_strength", float("nan"), "must be finite and nonnegative"),
     ("strong_strength", -1.0, "must be finite and nonnegative"),
-    ("lr", float("inf"), "must be finite and nonnegative")])
+    ("lr", float("inf"), "must be finite and nonnegative"),
+    ("lr_power", -1e9, "must be finite and nonnegative"),
+    ("lr_power", float("inf"), "must be finite and nonnegative")])
 def test_out_of_range_subset_or_strength_is_one_config_error_on_its_line(
         tmp_path, capsys, field, value, message):
     path = write_config(tmp_path, {"seed": 1, field: value})
@@ -363,6 +365,29 @@ def test_out_that_cannot_be_a_directory_is_one_format_error(tmp_path, capsys, co
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:format:") and str(out) in err[0]
     assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "x"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "train-config", "preset"])
+def test_negative_seed_is_one_config_error_and_creates_nothing(tmp_path, capsys, command):
+    data = gen_shapes(tmp_path)
+    blob = quick_train_blob(data, tmp_path / "run")
+    write_config(tmp_path, {**blob, "seed": -1} if command == "train-config" else blob)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"gen-data": ["gen-data", "--dataset", "shapes", "--n", "4", "--n-eval", "2",
+                         "--size", "8", "--k", "4", "--seed", "-1"],
+            "train": ["train", "--config", str(tmp_path / "cfg.json"), "--seed", "-1"],
+            "train-config": ["train", "--config", str(tmp_path / "cfg.json")],
+            "preset": ["preset", "stage-sweep", "--seed", "-1"]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(argv + ["--out", str(out)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:config:")
+    assert err[0].endswith("seed must be >= 0: -1")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_emit_curves_orders_and_dedups(tmp_path, capsys):

@@ -70,10 +70,8 @@ def max_rel_error(ga, gb):
     return worst
 
 
-def onehot_target(shape_nhw, K, seed=2):
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, K, size=shape_nhw)
-    return np.eye(K)[labels]
+def label_map(shape_nhw, K, seed=2):
+    return np.random.default_rng(seed).integers(0, K, size=shape_nhw)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +101,8 @@ def test_float32_model_computes_in_float32(kind):
     arrays = [feats, logits] + [v for v in cache.values() if isinstance(v, np.ndarray)]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     assert softmax(logits).dtype == np.float32
-    t = onehot_target(x.shape[:1] + m_out_hw(m, x), m.num_classes)
-    mask = np.ones(t.shape[:-1])
+    t = label_map(x.shape[:1] + m_out_hw(m, x), m.num_classes)
+    mask = np.ones(t.shape)
     (loss,), grads = loss_and_gradients(m, x, [(t, mask)], rng=np.random.default_rng(0))
     assert np.isfinite(loss)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
@@ -118,7 +116,7 @@ def test_float32_gradients_match_float64(kind):
     # within 1e-5 of its largest entry (about 1e-6 is seen at 16x16, batch 4)
     m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
     x = np.random.default_rng(4).random((4, 16, 16, 3))
-    t = onehot_target((4, 16, 16), 6)
+    t = label_map((4, 16, 16), 6)
     _, g32 = loss_and_gradients(m, x, [(t, None)], rng=np.random.default_rng(9))
     _, g64 = loss_and_gradients(float64_copy(m), x, [(t, None)], rng=np.random.default_rng(9))
     for name, g in g64.items():
@@ -354,12 +352,12 @@ def test_cross_entropy_exact_match_is_zero():
 
 def test_cross_entropy_uniform_is_log_k():
     p = np.full((1, 2, 2, 4), 0.25)
-    t = onehot_target((1, 2, 2), 4)
+    t = np.eye(4)[label_map((1, 2, 2), 4)]
     assert cross_entropy(p, t) == pytest.approx(np.log(4), rel=1e-12)
 
 
 def test_cross_entropy_rejects_unnormalized():
-    t = onehot_target((1, 1, 1), 4)
+    t = np.eye(4)[label_map((1, 1, 1), 4)]
     with pytest.raises(InputError):
         cross_entropy(np.full((1, 1, 1, 4), 0.3), t)
 
@@ -367,7 +365,7 @@ def test_cross_entropy_rejects_unnormalized():
 def test_all_masked_returns_zero_loss_and_grads():
     m = small_model("mlp")
     x = small_input("mlp")
-    t = onehot_target((2, 1, 1), 3)
+    t = label_map((2, 1, 1), 3)
     losses, grads = loss_and_gradients(m, x, [(t, np.zeros((2, 1, 1)))])
     assert losses == [0.0]
     assert all(np.all(g == 0) for g in grads.values())
@@ -376,7 +374,7 @@ def test_all_masked_returns_zero_loss_and_grads():
 def test_masked_pixels_do_not_contribute():
     m = small_model("cnn")
     x = small_input("cnn")
-    t = onehot_target((2, 4, 4), 3)
+    t = label_map((2, 4, 4), 3)
     mask = np.ones((2, 4, 4))
     mask[1] = 0
     (loss_m,), _ = loss_and_gradients(m, x, [(t, mask)])
@@ -385,25 +383,28 @@ def test_masked_pixels_do_not_contribute():
 
 
 def test_every_term_target_is_checked():
-    # an unnormalized pseudo-label term is refused as the second term too
+    # a bad pseudo-label term is refused as the second term too
     m = small_model("cnn")
     x = small_input("cnn")
-    t = onehot_target((2, 4, 4), 3)
+    t = label_map((2, 4, 4), 3)
     mask = np.ones((2, 4, 4))
-    with pytest.raises(InputError, match="normalized"):
-        loss_and_gradients(m, x, [(t, mask), (1.5 * t, mask)])
+    for bad in (t.astype(np.float64), t - 1, t + 1, np.full_like(t, 3)):
+        with pytest.raises(InputError, match=r"integer classes in \[0, 3\)"):
+            loss_and_gradients(m, x, [(t, mask), (bad, mask)])
     with pytest.raises(InputError, match="mask shape"):
         loss_and_gradients(m, x, [(t, mask), (t, mask[:1])])
-    with pytest.raises(InputError, match="target shape"):
+    with pytest.raises(InputError, match="labels shape"):
         loss_and_gradients(m, x, [(t, mask), (t[:1], mask)])
+    with pytest.raises(InputError, match="labels shape"):   # the one-hot form is refused
+        loss_and_gradients(m, x, [(np.eye(3)[t], mask)])
 
 
 def test_terms_sum_their_losses_and_gradients():
     m = float64_copy(small_model("cnn"))
     x = small_input("cnn")
     rng = np.random.default_rng(2)
-    t1 = onehot_target((2, 4, 4), 3)
-    t2 = np.eye(3)[rng.integers(0, 3, (2, 4, 4))]
+    t1 = label_map((2, 4, 4), 3)
+    t2 = rng.integers(0, 3, (2, 4, 4))
     m1 = (rng.random((2, 4, 4)) < 0.6).astype(np.float64)
     m2 = (rng.random((2, 4, 4)) < 0.6).astype(np.float64)
     losses, grads = loss_and_gradients(m, x, [(t1, m1), (t2, m2)])
@@ -417,21 +418,36 @@ def test_terms_sum_their_losses_and_gradients():
 
 @pytest.mark.parametrize("n_terms", [1, 2])
 def test_loss_and_logit_gradient_give_the_bits_of_the_reduction_formulas(n_terms, monkeypatch):
+    # the gathered loss and p - 1 at the label against the one-hot formulas,
+    # through the pairwise class sum (K >= 8) and on 1x1 maps too; a 2-term
+    # loss also runs with either term's mask all zero
     seen = []
     inner = netcore._backward
     monkeypatch.setattr(netcore, "_backward",
                         lambda m, cache, dlogits: seen.append(dlogits) or inner(m, cache, dlogits))
-    m = build_model("attn", K=6, C=8, seed=3, in_channels=3, patch=2)
-    rng = np.random.default_rng(8)
-    x = rng.random((4, 8, 8, 3))
-    terms = [(np.eye(6)[rng.integers(0, 6, (4, 8, 8))],
-              (rng.random((4, 8, 8)) < 0.7).astype(np.float64)) for _ in range(n_terms)]
-    losses, _ = loss_and_gradients(m, x, terms)
-    _, logits = m.forward(x)   # no noise: the loss's own forward
-    want_losses, want_dlogits = loss_terms(logits, terms)
-    assert losses == want_losses
-    (dlogits,) = seen
-    assert dlogits.dtype == np.float32 and dlogits.tobytes() == want_dlogits.tobytes()
+    for k in (2, 6, 7, 10):
+        for hw in (16, 1):
+            if hw == 1:
+                m = build_model("mlp", K=k, C=8, seed=k, in_channels=12, hidden=16)
+                x = np.random.default_rng(k).random((16, 1, 1, 12))
+            else:
+                m = build_model("attn", K=k, C=8, seed=k, in_channels=3, patch=2)
+                x = np.random.default_rng(k).random((4, 16, 16, 3))
+            nhw = x.shape[:1] + (hw, hw)
+            for empty in (None,) if n_terms == 1 else (None, 0, 1):
+                rng = np.random.default_rng(8 + k)
+                terms = [(rng.integers(0, k, nhw), (rng.random(nhw) < 0.7).astype(np.float64))
+                         for _ in range(n_terms)]
+                if empty is not None:
+                    terms[empty] = (terms[empty][0], np.zeros(nhw))
+                seen.clear()
+                losses, _ = loss_and_gradients(m, x, terms)
+                _, logits = m.forward(x)   # no noise: the loss's own forward
+                want_losses, want_dlogits = loss_terms(logits, terms)
+                assert losses == want_losses
+                (dlogits,) = seen
+                assert dlogits.dtype == np.float32
+                assert dlogits.tobytes() == want_dlogits.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -456,8 +472,8 @@ def test_attn_pixels_are_their_tokens_repeated(mode):
 def test_gradients_match_finite_differences(kind):
     m = float64_copy(small_model(kind, seed=4))
     x = small_input(kind, seed=6)
-    t = onehot_target(x.shape[:1] + m_out_hw(m, x), m.num_classes)
-    mask = np.ones(t.shape[:-1])
+    t = label_map(x.shape[:1] + m_out_hw(m, x), m.num_classes)
+    mask = np.ones(t.shape)
     mask.flat[0] = 0.0  # exercise masking in the gradient too
     _, grads = loss_and_gradients(m, x, [(t, mask)])
     fd = fd_gradients(m, x, t, mask)
@@ -472,7 +488,7 @@ def test_gradients_with_noise_active_match_fd():
     # same rng seed per evaluation makes the noisy loss deterministic
     m = float64_copy(small_model("mlp", noise=NOISY))
     x = small_input("mlp")
-    t = onehot_target((2, 1, 1), 3)
+    t = label_map((2, 1, 1), 3)
     _, grads = loss_and_gradients(m, x, [(t, None)], rng=np.random.default_rng(9))
     fd = fd_gradients(m, x, t, None, rng_seed=9)
     assert max_rel_error(grads, fd) <= 1e-4
@@ -602,7 +618,7 @@ def test_cnn_gradients_match_reference_backward(monkeypatch):
     # the reference conv computes in float64
     m = float64_copy(build_model("cnn", K=6, C=16, noise=NOISY, seed=3, in_channels=3))
     x = np.random.default_rng(4).random((4, 16, 16, 3))
-    t = onehot_target((4, 16, 16), 6)
+    t = label_map((4, 16, 16), 6)
     mask = (np.random.default_rng(5).random((4, 16, 16)) < 0.7).astype(np.float64)
     _, grads = loss_and_gradients(m, x, [(t, mask)], rng=np.random.default_rng(7))
     (cache, dlogits), = seen

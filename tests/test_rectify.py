@@ -8,6 +8,7 @@ from rml_lab.errors import StateError
 from rml_lab.netcore import build_model, softmax
 from rml_lab.protobank import new_bank
 from rml_lab.rectify import (
+    HardLabels,
     StagePseudoStore,
     denoise,
     harden_with_threshold,
@@ -140,8 +141,17 @@ def test_denoise_matches_direct_product_argmax(seed):
     out, fallback = denoise(p0, omega, 0.0)
     assert fallback == 0
     np.testing.assert_array_equal(out.labels, (omega * p0).argmax(axis=-1))
-    np.testing.assert_array_equal(out.onehot.argmax(axis=-1), out.labels)
-    assert np.all(out.onehot.sum(axis=-1) == 1.0)
+
+
+def test_hard_labels_onehot_is_the_label_map():
+    rng = np.random.default_rng(3)
+    p0, omega = rand_probs(rng, (2, 2, 3, 3, 7))
+    for out in (harden_with_threshold(p0, 0.5), denoise(p0, omega, 0.5)[0]):
+        assert out.num_classes == 7 and out.labels.dtype.kind == "i"
+        onehot = out.onehot
+        assert onehot.shape == (2, 3, 3, 7)
+        np.testing.assert_array_equal(onehot.argmax(axis=-1), out.labels)
+        assert np.all(onehot.sum(axis=-1) == 1.0) and np.all((onehot == 0) | (onehot == 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,10 +223,10 @@ def test_mix_rectify_full_mask_equals_single_denoise():
     teacher, bank, store, x1, x2 = build_fixture()
     mixed, halves = mix_rectified(teacher, bank, store, x1, x2, [0], [1],
                                   np.ones((2, 2)))
-    np.testing.assert_array_equal(mixed.onehot, halves[0][0].onehot)
-    solo, _, _ = rectified_labels(teacher, x1, [0], bank, store, WEAK, 0.0,
-                                  np.random.default_rng(0))
-    np.testing.assert_array_equal(mixed.onehot, solo.onehot)
+    for got in (halves[0][0], rectified_labels(teacher, x1, [0], bank, store, WEAK, 0.0,
+                                               np.random.default_rng(0))[0]):
+        np.testing.assert_array_equal(mixed.labels, got.labels)
+        np.testing.assert_array_equal(mixed.valid, got.valid)
 
 
 def test_mix_rectify_same_image_mask_independent():
@@ -225,7 +235,8 @@ def test_mix_rectify_same_image_mask_independent():
     m2 = sample_rect_mask(2, 2, np.random.default_rng(5))
     a, _ = mix_rectified(teacher, bank, store, x1, x1, [0], [0], m1)
     b, _ = mix_rectified(teacher, bank, store, x1, x1, [0], [0], m2)
-    np.testing.assert_array_equal(a.onehot, b.onehot)
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.valid, b.valid)
 
 
 def test_mix_rectify_composition_oracle():
@@ -233,15 +244,29 @@ def test_mix_rectify_composition_oracle():
     m = sample_rect_mask(2, 2, np.random.default_rng(2))
     mixed, ((y1, _, _), (y2, _, _)) = mix_rectified(teacher, bank, store, x1, x2,
                                                     [0], [1], m)
-    by_hand = mix_label_maps(y1.onehot, y2.onehot, m)
-    np.testing.assert_array_equal(mixed.onehot, by_hand)
-    np.testing.assert_array_equal(mixed.labels, by_hand.argmax(axis=-1))
+    np.testing.assert_array_equal(mixed.labels, mix_label_maps(y1.labels, y2.labels, m))
+    np.testing.assert_array_equal(mixed.valid, mix_label_maps(y1.valid, y2.valid, m))
     # label equals the side the mask picked, pixel by pixel
     for r in range(2):
         for c in range(2):
             src = y1 if m[r, c] == 1 else y2
             assert mixed.labels[0, r, c] == src.labels[0, r, c]
             assert mixed.valid[0, r, c] == src.valid[0, r, c]
+
+
+def test_mix_halves_mixes_labels_and_gates_with_one_mask():
+    rng = np.random.default_rng(6)
+    halves = [HardLabels(rng.integers(0, 4, (2, 3, 3)),
+                         (rng.random((2, 3, 3)) < 0.5).astype(np.float64), 4) for _ in range(2)]
+    m = np.stack([sample_rect_mask(3, 3, rng) for _ in range(2)])
+    mixed = _mix_halves(halves, m)
+    inside = m == 1
+    for name in ("labels", "valid"):
+        got, a, b = (getattr(y, name) for y in (mixed, *halves))
+        np.testing.assert_array_equal(got[inside], a[inside])
+        np.testing.assert_array_equal(got[~inside], b[~inside])
+    assert mixed.num_classes == 4
+    assert _mix_halves(halves[:1], None) is halves[0]
 
 
 def test_mix_rectify_missing_store_entry():
@@ -257,4 +282,5 @@ def test_teacher_softmax_confidence_path():
                                      confidence_source="teacher_softmax")
     _, logits = teacher_predict(teacher, x1, WEAK, np.random.default_rng(0))
     expected, _ = denoise(store.get_batch([0]), softmax(logits), 0.0)
-    np.testing.assert_array_equal(out.onehot, expected.onehot)
+    np.testing.assert_array_equal(out.labels, expected.labels)
+    np.testing.assert_array_equal(out.valid, expected.valid)

@@ -167,7 +167,7 @@ def test_labeled_step_loss_matches_direct_ce(shapes_data):
     quad = float64_quad(quad)
     frozen = clone_quad(quad)
     x, y = labeled.images[:4], labeled.labels[:4]
-    losses = labeled_step(quad, x, y, cfg, lr=0.05, k=K,
+    losses = labeled_step(quad, x, y, cfg, lr=0.05,
                           rngs=[np.random.default_rng(0), np.random.default_rng(1)])
     for i in range(2):
         p = softmax(frozen.students[i].eval().forward(x.astype(np.float64))[1])
@@ -182,7 +182,7 @@ def test_labeled_step_zero_lr_keeps_parameters(shapes_data):
     quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
     before = [{k2: v.copy() for k2, v in s.params.items()} for s in quad.students]
     losses = labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg,
-                          lr=0.0, k=K,
+                          lr=0.0,
                           rngs=[np.random.default_rng(0), np.random.default_rng(1)])
     assert all(np.isfinite(l) for l in losses)
     for i, s in enumerate(quad.students):
@@ -197,10 +197,10 @@ def test_labeled_step_overfits_one_batch(shapes_data):
     quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     x, y = labeled.images[:4], labeled.labels[:4]
-    first = labeled_step(quad, x, y, cfg, lr=0.05, k=K, rngs=rngs)
+    first = labeled_step(quad, x, y, cfg, lr=0.05, rngs=rngs)
     last = None
     for _ in range(49):
-        last = labeled_step(quad, x, y, cfg, lr=0.05, k=K, rngs=rngs)
+        last = labeled_step(quad, x, y, cfg, lr=0.05, rngs=rngs)
     assert last[0] < first[0] and last[1] < first[1]
 
 
@@ -210,7 +210,7 @@ def test_labeled_step_leaves_teachers_alone(shapes_data):
     base = train_baseline(labeled, cfg, k=K)
     quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
     before = [{k2: v.copy() for k2, v in t.params.items()} for t in quad.teachers]
-    labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1, k=K,
+    labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1,
                  rngs=[np.random.default_rng(0), np.random.default_rng(1)])
     for i, t in enumerate(quad.teachers):
         for key in t.params:
@@ -233,7 +233,7 @@ def test_non_finite_supervised_loss_names_its_step(shapes_data, monkeypatch):
         train_baseline(labeled, cfg, k=K)
     calls_left[0] = 1
     with pytest.raises(TrainingError, match=r"^non-finite labeled loss$"):
-        labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1, k=K,
+        labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1,
                      rngs=[np.random.default_rng(0), np.random.default_rng(1)])
 
 
@@ -283,7 +283,7 @@ def test_pseudo_acc_scores_the_training_labels(shapes_data, variant):
     base = train_baseline(labeled, cfg, k=K)
     quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
     # move the students off their teachers, so the two label sources differ
-    labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.5, k=K,
+    labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.5,
                  rngs=[np.random.default_rng(0), np.random.default_rng(1)])
     sub = Dataset(unlabeled.images[:8], unlabeled.labels[:8], unlabeled.ids[:8])
     accs = trainer._measure_pseudo_acc(quad, stores, sub, cfg, np.random.default_rng(4))
@@ -358,9 +358,9 @@ def test_four_term_loss_oracle(shapes_data):
     for i in range(2):
         p1 = softmax(frozen.teachers[i].forward(b1[0].astype(np.float64))[1])
         p2 = softmax(frozen.teachers[i].forward(b2[0].astype(np.float64))[1])
-        h1 = harden_with_threshold(p1, 0.0)
-        h2 = harden_with_threshold(p2, 0.0)
-        mixed = mask_stack[..., None] * h1.onehot + (1 - mask_stack[..., None]) * h2.onehot
+        y1 = np.eye(K)[harden_with_threshold(p1, 0.0).labels]
+        y2 = np.eye(K)[harden_with_threshold(p2, 0.0).labels]
+        mixed = mask_stack[..., None] * y1 + (1 - mask_stack[..., None]) * y2
         yhat.append(mixed)
     for i in range(2):
         p_student = softmax(frozen.students[i].eval().forward(x_mix)[1])
@@ -394,8 +394,8 @@ def test_direct_ml_uses_cross_terms_only(shapes_data):
         peer = 1 - i
         p1 = softmax(frozen.students[peer].eval().forward(b1[0].astype(np.float64))[1])
         p2 = softmax(frozen.students[peer].eval().forward(b2[0].astype(np.float64))[1])
-        mixed = (mask_stack[..., None] * harden_with_threshold(p1, 0.0).onehot
-                 + (1 - mask_stack[..., None]) * harden_with_threshold(p2, 0.0).onehot)
+        mixed = (mask_stack[..., None] * np.eye(K)[harden_with_threshold(p1, 0.0).labels]
+                 + (1 - mask_stack[..., None]) * np.eye(K)[harden_with_threshold(p2, 0.0).labels])
         p_student = softmax(frozen.students[i].eval().forward(x_mix)[1])
         assert losses[i] == pytest.approx(cross_entropy(p_student, mixed), rel=1e-9)
 
