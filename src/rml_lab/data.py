@@ -274,7 +274,7 @@ def _read_pair(img_path: Path, lab_path: Path, k: int) -> Dataset:
     labels = read_idx(lab_path).astype(np.int64)
     if images.dtype == np.uint8:
         images = images.astype(np.float32) / 255.0
-    images = images.astype(np.float32)
+    images = images.astype(np.float32, copy=False)
     if images.ndim == 3:  # single channel stored without axis
         images = images[..., None]
     if labels.ndim == 1:

@@ -43,6 +43,17 @@ the whole batch is, and the chunked forward is bitwise equal to a forward
 over the whole batch for every architecture (see tests/test_netcore.py).
 Train-mode forwards are not chunked, so their random draws are unchanged.
 
+The chunks of one eval forward run on the process's CPUs: the caller and
+up to one worker per other usable CPU take the next chunk until none is
+left, and the results are concatenated in chunk order. No chunk's bits
+depend on which thread ran it or when, and eval mode draws nothing, so
+the result is the same at any worker count. A single-chunk forward, such
+as a teacher's prediction for a training step's batch of 4, runs on the
+caller alone. The workers share one thread pool, made on first use. Before its first worker starts, glibc
+is told to keep one malloc arena: a worker's own arena raised
+``peak_rss_mb`` by 5-8% with one worker and by 12-17% with two, and one
+arena removed that.
+
 A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
 matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
 backward keeps that matrix for ``dw``. A forward with no backward (every
@@ -66,8 +77,12 @@ term's gradient work in place in a buffer the step already made.
 from __future__ import annotations
 
 import math
+import os
 import re
 import struct
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +168,9 @@ class NetModel:
     def forward(self, x: np.ndarray, rng: np.random.Generator | None = None):
         """Run the network; returns ``(features, logits)``.
 
-        Pure in eval mode, where the batch runs in chunks of whole images
-        (see the module docstring).
+        Pure in eval mode, where the batch runs in chunks of whole images,
+        on the caller and the process's spare CPUs, with the same bits at
+        any worker count; ``rng`` is then unused (see the module docstring).
         """
         if self.mode != "eval":
             feats, logits, _ = _forward(self, x, rng, want_cache=False)
@@ -164,8 +180,7 @@ class NetModel:
         step = max(1, EVAL_CHUNK_PIXELS // (h * w))
         # the last chunk takes the remainder, so no chunk is smaller than step
         bounds = [i * step for i in range(max(1, n // step))] + [n]
-        outs = [_forward(self, x[lo:hi], rng, want_cache=False)[:2]
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
+        outs = _run_chunks(self, x, bounds)
         if len(outs) == 1:
             return outs[0]
         feats, logits = zip(*outs)
@@ -173,6 +188,79 @@ class NetModel:
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
+
+
+def _spare_cpus() -> int:
+    """The CPUs this process may use, less the caller's own."""
+    try:
+        return len(os.sched_getaffinity(0)) - 1
+    except AttributeError:   # no affinity call on this platform
+        return (os.cpu_count() or 1) - 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _eval_pool() -> ThreadPoolExecutor:
+    """The eval-chunk thread pool, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+            except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
+                glibc = False
+            if glibc:   # M_ARENA_MAX (-8) of 1: workers allocate from the main heap
+                import ctypes
+                mallopt = ctypes.CDLL(None).mallopt
+                mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+                mallopt(-8, 1)
+            _pool = ThreadPoolExecutor(max(1, _spare_cpus()), "rml-eval")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_chunks(m: NetModel, x: np.ndarray, bounds: list[int]) -> list[tuple]:
+    """Eval-mode ``(features, logits)`` of each chunk ``x[bounds[i]:bounds[i+1]]``,
+    in chunk order; the caller and the spare CPUs' workers each take the next
+    chunk until none is left. An error leaves the chunks not yet taken undone
+    and is raised once every thread has stopped: the caller's own, else the
+    first worker's in submission order."""
+    count = len(bounds) - 1
+    outs: list = [None] * count
+    todo = deque(range(count))
+
+    def drain():
+        try:
+            while True:
+                try:
+                    i = todo.popleft()
+                except IndexError:
+                    return
+                outs[i] = _forward(m, x[bounds[i]:bounds[i + 1]], None, want_cache=False)[:2]
+        except BaseException:
+            todo.clear()
+            raise
+
+    workers = min(_spare_cpus(), count - 1)
+    jobs = [_eval_pool().submit(drain) for _ in range(workers)]
+    try:
+        drain()
+    finally:
+        wait(jobs)
+    for job in jobs:
+        job.result()
+    return outs
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:

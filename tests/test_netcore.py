@@ -1,5 +1,11 @@
+import os
+import signal
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -233,7 +239,7 @@ def test_eval_forward_chunks_are_bitwise_whole_batch(kind, monkeypatch):
     whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
     sizes = count_chunks(monkeypatch)
     feats, logits = m.forward(x)
-    assert sizes == [16, 21]
+    assert sorted(sizes) == [16, 21]   # chunks on workers may start in any order
     np.testing.assert_array_equal(feats, whole_f)
     np.testing.assert_array_equal(logits, whole_l)
 
@@ -248,7 +254,7 @@ def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
     whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
     sizes = count_chunks(monkeypatch)
     feats, logits = m.forward(x)
-    assert sizes == [step, step + 3]
+    assert sorted(sizes) == [step, step + 3]
     np.testing.assert_array_equal(feats, whole_f)
     np.testing.assert_array_equal(logits, whole_l)
     sizes.clear()
@@ -281,6 +287,139 @@ def test_eval_forward_frees_each_patch_matrix_after_its_matmul():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 4096 * 144 * 4, peak
+
+
+def chunked_model(kind, monkeypatch):
+    """An eval model on 16x16x3 images, 16 images a chunk; the mlp takes them
+    flattened, with the chunk size cut to 16 flattened pixels."""
+    if kind == "flat-mlp":
+        monkeypatch.setattr(netcore, "EVAL_CHUNK_PIXELS", 16)
+        return build_model("mlp", K=6, C=16, noise=NOISY, seed=3, in_channels=768).eval()
+    return build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3).eval()
+
+
+@pytest.mark.parametrize("kind", ["cnn", "attn", "mlp", "flat-mlp"])
+@pytest.mark.parametrize("n", [10, 37, 48, 85])   # 1, 2 (with a remainder), 3 and 5 chunks
+def test_eval_forward_bits_do_not_depend_on_workers(kind, n, monkeypatch):
+    m = chunked_model(kind, monkeypatch)
+    x = np.random.default_rng(n).random((n, 16, 16, 3))
+    monkeypatch.setattr(netcore, "_spare_cpus", lambda: 0)
+    serial_f, serial_l = m.forward(x)
+    monkeypatch.setattr(netcore, "_spare_cpus", lambda: 3)   # three workers, whatever the CPU count
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # threads switch often: more schedules in 10 calls
+    try:
+        for _ in range(10):
+            feats, logits = m.forward(x)
+            np.testing.assert_array_equal(feats, serial_f)
+            np.testing.assert_array_equal(logits, serial_l)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 5])
+def test_eval_workers_are_spare_cpus_capped_by_chunks(chunks, monkeypatch):
+    # a single-chunk forward stays on the caller; else at most one worker a chunk
+    # beyond the caller's
+    submitted = []
+    pool = ThreadPoolExecutor(3)
+
+    def submit(fn):
+        submitted.append(fn)
+        return pool.submit(fn)
+
+    monkeypatch.setattr(netcore, "_eval_pool", lambda: SimpleNamespace(submit=submit))
+    monkeypatch.setattr(netcore, "_spare_cpus", lambda: 3)
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    try:
+        m.forward(np.zeros((16 * chunks, 16, 16, 3)))
+    finally:
+        pool.shutdown()
+    assert len(submitted) == min(3, chunks - 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_spare_cpus_leaves_the_caller_its_cpu():
+    assert netcore._spare_cpus() == len(os.sched_getaffinity(0)) - 1
+
+
+@pytest.mark.parametrize("spare", [0, 3])
+def test_eval_forward_with_noise_draws_nothing(spare, monkeypatch):
+    monkeypatch.setattr(netcore, "_spare_cpus", lambda: spare)
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    for kind in ("cnn", "attn", "mlp"):
+        small_model(kind, noise=NOISY).eval().forward(
+            np.random.default_rng(1).random((37, 16, 16, 5 if kind == "mlp" else 2)), rng=rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("spare", [0, 3])
+def test_eval_chunk_error_reaches_the_caller(spare, monkeypatch):
+    # every pixel of image i holds i, so a chunk knows where it starts
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    x = np.broadcast_to(np.arange(48.0)[:, None, None, None], (48, 16, 16, 3))
+    want_f, want_l = m.forward(x)
+    inner = netcore._forward
+
+    def failing(model, chunk, rng, want_cache):
+        if chunk[0, 0, 0, 0] == 16:
+            raise TrainingError("second chunk")
+        return inner(model, chunk, rng, want_cache)
+
+    monkeypatch.setattr(netcore, "_spare_cpus", lambda: spare)
+    monkeypatch.setattr(netcore, "_forward", failing)
+    with pytest.raises(TrainingError, match="second chunk"):
+        m.forward(x)
+    monkeypatch.setattr(netcore, "_forward", inner)
+    feats, logits = m.forward(x)
+    np.testing.assert_array_equal(feats, want_f)
+    np.testing.assert_array_equal(logits, want_l)
+
+
+def test_worker_error_reaches_the_caller_and_stops_the_rest(monkeypatch):
+    # the caller's first chunk waits until the worker has failed; the failure
+    # leaves the caller no further chunk, and its error is the one raised
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    x = np.random.default_rng(2).random((80, 16, 16, 3))   # 5 chunks
+    inner = netcore._forward
+    failed = threading.Event()
+    on_caller = []
+
+    def worker_fails(model, chunk, rng, want_cache):
+        if threading.current_thread() is not threading.main_thread():
+            failed.set()
+            raise TrainingError("on a worker")
+        assert failed.wait(10)
+        on_caller.append(len(chunk))
+        return inner(model, chunk, rng, want_cache)
+
+    monkeypatch.setattr(netcore, "_spare_cpus", lambda: 1)
+    monkeypatch.setattr(netcore, "_forward", worker_fails)
+    with pytest.raises(TrainingError, match="on a worker"):
+        m.forward(x)
+    assert len(on_caller) <= 1
+    monkeypatch.setattr(netcore, "_forward", inner)
+    assert m.forward(x)[1].shape == (80, 16, 16, 6)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
+def test_forked_child_runs_eval_chunks_without_its_parents_workers(monkeypatch):
+    # the child inherits the pool object but none of its threads; a hang
+    # there ends in the alarm's SIGALRM
+    monkeypatch.setattr(netcore, "_spare_cpus", lambda: 1)
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    x = np.random.default_rng(3).random((48, 16, 16, 3))
+    want = m.forward(x)[1]
+    pid = os.fork()
+    if pid == 0:   # the child must never return into pytest
+        code = 1
+        try:
+            signal.alarm(20)
+            code = 0 if np.array_equal(m.forward(x)[1], want) else 1
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
 
 
 # ---------------------------------------------------------------------------
