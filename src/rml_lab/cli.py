@@ -293,12 +293,12 @@ SHAPES_TRAIN = dict(
 MNIST_TRAIN_KW = dict(
     arch_pair=("mlp", "mlp"), feature_dim=64, hidden=64, labeled_fraction=1 / 60,
     lr=0.2, iterations=10_000, stages=1, batch_labeled=32, batch_unlabeled=32,
-    eval_interval=500, eval_subset=512, pseudo_subset=256, use_cutmix=False,
-    init_from_baseline=False, baseline_iterations=1, weak_strength=0.1,
-    strong_strength=1.0, alpha=0.99,
+    eval_interval=500, eval_subset=512, pseudo_subset=256, baseline_iterations=0,
+    weak_strength=0.1, strong_strength=1.0, alpha=0.99,
 )
 
-NO_NOISE = dict(noise_input=False, noise_model=False)
+# clean student input and no dropout or stochastic depth
+NO_NOISE = dict(strong_strength=0.0, dropout_rate=0.0, sd_survival=1.0)
 
 # A preset trains each row (the shared ``train`` keywords updated by the row's
 # overrides) at seeds ``--seed`` .. ``--seed + seeds - 1``. A comparison

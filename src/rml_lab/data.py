@@ -3,14 +3,16 @@
 A dataset directory holds ``images.idx`` (f32, scaled to [0,1]),
 ``labels.idx`` (u8 class indices), the matching ``eval_images.idx`` /
 ``eval_labels.idx`` pair, ``meta.json`` and optionally ``split.json``.
-Classification data uses 1x1 label maps (the image flattened into channels
-by the trainer when an architecture needs a vector input). SciPy serves only
-the digits stand-in for MNIST, which imports it on first use.
+Classification data uses 1x1 label maps; :func:`load_dataset` flattens its
+images into channels, ``(N,1,1,H*W*C)``, the vector input an mlp takes.
+SciPy serves only the digits stand-in for MNIST, which imports it on first
+use.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -307,6 +309,9 @@ def load_dataset(datadir):
     k = meta["num_classes"]
     train = _read_pair(datadir / "images.idx", datadir / "labels.idx", k)
     eval_set = _read_pair(datadir / "eval_images.idx", datadir / "eval_labels.idx", k)
+    for ds in (train, eval_set):
+        if ds.labels.shape[1:] == (1, 1):   # vector data: the image flattened into channels
+            ds.images = ds.images.reshape(len(ds), 1, 1, math.prod(ds.images.shape[1:]))
     return train, eval_set, meta
 
 

@@ -21,8 +21,8 @@ rectification, metrics) works in float64.
 
 All inputs are ``(N, H, W, Cin)`` arrays; every architecture returns a
 feature map ``(N, H, W, C)`` and logits ``(N, H, W, K)`` at the same
-resolution (classification tasks use ``H = W = 1`` with the image flattened
-into channels).
+resolution (classification tasks use ``H = W = 1``: ``data.load_dataset``
+flattens their images into channels).
 
 One loss serves every training step: :func:`loss_and_gradients` runs one
 forward pass, scores a list of ``(labels, pixel_mask)`` cross-entropy
@@ -41,7 +41,9 @@ matrices in another order, so a row's result can depend on how many rows
 its matmul has. No chunk is therefore smaller than the chunk size unless
 the whole batch is, and the chunked forward is bitwise equal to a forward
 over the whole batch for every architecture (see tests/test_netcore.py).
-Train-mode forwards are not chunked, so their random draws are unchanged.
+``NetModel.forward`` is this eval forward only. The one train-mode forward
+is the one :func:`loss_and_gradients` makes; it is not chunked, so its
+random draws are unchanged.
 
 The chunks of one eval forward run on the process's CPUs: the caller and
 up to one worker per other usable CPU take the next chunk until none is
@@ -52,7 +54,14 @@ as a teacher's prediction for a training step's batch of 4, runs on the
 caller alone. The workers share one thread pool, made on first use. Before its first worker starts, glibc
 is told to keep one malloc arena: a worker's own arena raised
 ``peak_rss_mb`` by 5-8% with one worker and by 12-17% with two, and one
-arena removed that.
+arena removed that. The heap's mmap and trim thresholds are fixed then
+too, at 32 and 8 MB: glibc moves them each time a thread frees a large
+mapped array, so how much freed memory the heap kept, and with it the
+process's peak RSS, varied with the threads' timing. At fixed thresholds
+an array under 32 MB comes from the heap and, once freed, is reused
+without page faults, and free memory beyond 8 MB at the heap's top goes
+back to the system. A training run and a baseline end with
+:func:`release_heap`, which hands back the rest (glibc's ``malloc_trim``).
 
 A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
 matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
@@ -88,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, FormatError, InputError, InternalError, TrainingError
+from .errors import ConfigError, FormatError, InputError, InternalError, StateError, TrainingError
 
 ARCH_KINDS = ("mlp", "cnn", "attn")
 
@@ -165,26 +174,35 @@ class NetModel:
             {k: v.copy() for k, v in self.params.items()}, self.mode,
         )
 
-    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None):
-        """Run the network; returns ``(features, logits)``.
+    def forward(self, x: np.ndarray):
+        """The eval-mode forward; returns ``(features, logits)``.
 
-        Pure in eval mode, where the batch runs in chunks of whole images,
-        on the caller and the process's spare CPUs, with the same bits at
-        any worker count; ``rng`` is then unused (see the module docstring).
+        Pure: it draws no noise, and the batch runs in chunks of whole
+        images, on the caller and the process's spare CPUs, with the same
+        bits at any worker count (see the module docstring). A model in
+        train mode is a StateError; every training forward is the one
+        :func:`loss_and_gradients` makes.
         """
+        outs = self._eval_chunks(x, slice(2))
+        if len(outs) == 1:
+            return outs[0]
+        feats, logits = zip(*outs)
+        return np.concatenate(feats), np.concatenate(logits)
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """``forward(x)[1]``, bit for bit, keeping no features beyond a chunk."""
+        outs = self._eval_chunks(x, 1)
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+    def _eval_chunks(self, x: np.ndarray, part) -> list:
         if self.mode != "eval":
-            feats, logits, _ = _forward(self, x, rng, want_cache=False)
-            return feats, logits
+            raise StateError("forward needs a model in eval mode")
         x = _check_input(self, x)
         n, h, w, _ = x.shape
         step = max(1, EVAL_CHUNK_PIXELS // (h * w))
         # the last chunk takes the remainder, so no chunk is smaller than step
         bounds = [i * step for i in range(max(1, n // step))] + [n]
-        outs = _run_chunks(self, x, bounds)
-        if len(outs) == 1:
-            return outs[0]
-        feats, logits = zip(*outs)
-        return np.concatenate(feats), np.concatenate(logits)
+        return _run_chunks(self, x, bounds, part)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -200,22 +218,27 @@ def _spare_cpus() -> int:
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_malloc_trim = None   # glibc's, looked up with the pool
 
 
 def _eval_pool() -> ThreadPoolExecutor:
     """The eval-chunk thread pool, made on first use."""
-    global _pool
+    global _pool, _malloc_trim
     with _pool_lock:
         if _pool is None:
             try:
                 glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
             except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
                 glibc = False
-            if glibc:   # M_ARENA_MAX (-8) of 1: workers allocate from the main heap
+            if glibc:   # M_ARENA_MAX (-8), M_MMAP_THRESHOLD (-3), M_TRIM_THRESHOLD (-1)
                 import ctypes
-                mallopt = ctypes.CDLL(None).mallopt
+                libc = ctypes.CDLL(None)
+                mallopt = libc.mallopt
                 mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-                mallopt(-8, 1)
+                for param, value in ((-8, 1), (-3, 32 << 20), (-1, 8 << 20)):
+                    mallopt(param, value)
+                _malloc_trim = libc.malloc_trim
+                _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
             _pool = ThreadPoolExecutor(max(1, _spare_cpus()), "rml-eval")
         return _pool
 
@@ -230,8 +253,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_chunks(m: NetModel, x: np.ndarray, bounds: list[int]) -> list[tuple]:
-    """Eval-mode ``(features, logits)`` of each chunk ``x[bounds[i]:bounds[i+1]]``,
+def release_heap() -> None:
+    """Hand the heap's free pages back to the system once the eval workers exist."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
+def _run_chunks(m: NetModel, x: np.ndarray, bounds: list[int], part) -> list:
+    """``_forward(...)[part]`` in eval mode of each chunk ``x[bounds[i]:bounds[i+1]]``,
     in chunk order; the caller and the spare CPUs' workers each take the next
     chunk until none is left. An error leaves the chunks not yet taken undone
     and is raised once every thread has stopped: the caller's own, else the
@@ -247,7 +276,7 @@ def _run_chunks(m: NetModel, x: np.ndarray, bounds: list[int]) -> list[tuple]:
                     i = todo.popleft()
                 except IndexError:
                     return
-                outs[i] = _forward(m, x[bounds[i]:bounds[i + 1]], None, want_cache=False)[:2]
+                outs[i] = _forward(m, x[bounds[i]:bounds[i + 1]], None, want_cache=False)[part]
         except BaseException:
             todo.clear()
             raise
@@ -310,19 +339,13 @@ def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), s
 
 
 def _check_input(m: NetModel, x: np.ndarray) -> np.ndarray:
-    """Validate input shape; vector-input models accept the whole image
-    flattened into channels (in_channels == H*W*C). Returns the input in the
-    model's dtype."""
+    """Validate input shape; returns the input in the model's dtype."""
     x = np.asarray(x, dtype=m.dtype)
     if x.ndim != 4:
         raise InputError(f"expected (N,H,W,C) input, got shape {x.shape}")
-    n, h, w, ch = x.shape
-    if (m.arch.kind == "mlp" and (h, w) != (1, 1)
-            and ch != m.arch.in_channels and m.arch.in_channels == h * w * ch):
-        x = np.ascontiguousarray(x).reshape(n, 1, 1, h * w * ch)
-    elif ch != m.arch.in_channels:
+    if x.shape[-1] != m.arch.in_channels:
         raise InputError(
-            f"model expects {m.arch.in_channels} input channels, got {ch}"
+            f"model expects {m.arch.in_channels} input channels, got {x.shape[-1]}"
         )
     if m.arch.kind == "attn":
         p = m.arch.patch
@@ -748,7 +771,7 @@ def load_checkpoint(path):
     The model is in eval mode, with the architecture, noise and params it
     was saved with, in their saved dtype, so it evaluates exactly as the
     saved model did. The params must be those the architecture, K and C
-    name, in their shapes and in one dtype.
+    name, in their shapes, in one dtype and finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -803,4 +826,7 @@ def load_checkpoint(path):
     dtypes = sorted({t.dtype.name for t in params.values()})
     if len(dtypes) > 1:
         raise FormatError(f"checkpoint {path} mixes param dtypes {dtypes}")
+    for name, t in params.items():   # as sgd_step keeps every trained param
+        if not np.isfinite(t).all():
+            raise FormatError(f"param {name} in checkpoint {path} is not finite")
     return NetModel(spec, k, c, noise, params, mode="eval"), extra

@@ -65,10 +65,8 @@ class StagePseudoStore:
 
 def teacher_predict(teacher, x: np.ndarray, weak_strength: float,
                     rng) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher features and logits on ``x`` perturbed at ``weak_strength``;
-    a caller that needs probabilities takes their softmax."""
-    if teacher.mode != "eval":
-        raise StateError("teacher must be in eval mode")
+    """Eval-mode teacher features and logits on ``x`` perturbed at
+    ``weak_strength``; a caller that needs probabilities takes their softmax."""
     return teacher.forward(photometric(x, weak_strength, rng))
 
 

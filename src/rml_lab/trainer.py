@@ -39,6 +39,7 @@ from .netcore import (
     build_model,
     ema_params,
     loss_and_gradients,
+    release_heap,
     save_checkpoint,
     sgd_step,
     softmax,
@@ -67,7 +68,15 @@ def _pair(value) -> tuple:
 
 @dataclass
 class RmlConfig:
-    """Hyperparameters for one training run."""
+    """Hyperparameters for one training run.
+
+    Each ablation switch is a magnitude at zero: ``strong_strength`` 0 feeds
+    the students clean input; ``dropout_rate`` 0 with ``sd_survival`` 1 is no
+    model noise; ``baseline_iterations`` 0 starts mutual learning from two
+    fresh initializations, with no supervised warm start (the supervised
+    variant needs at least 1). CutMix follows the label maps: the unlabeled
+    pairs are mixed exactly when their labels are per-pixel.
+    """
 
     variant: str = "rml"
     arch_pair: tuple[str, str] = ("cnn", "cnn")
@@ -85,13 +94,9 @@ class RmlConfig:
     tau: float = 0.0
     lam: float = 0.999
     alpha: float = 0.99
-    noise_input: bool = True
-    noise_model: bool = True
     dropout_rate: float = 0.5
     sd_survival: float = 0.8
     confidence_source: str = "prototype"
-    init_from_baseline: bool = True
-    use_cutmix: bool = True
     eval_interval: int = 200
     eval_subset: int = 256
     pseudo_subset: int = 128
@@ -121,10 +126,13 @@ class RmlConfig:
                 raise ConfigError(f"{name} out of range [{lo},{hi}]: {v}", name)
         check_seed(self.seed)
         for name in ("iterations", "stages", "batch_labeled", "batch_unlabeled",
-                     "baseline_iterations", "eval_interval", "eval_subset",
-                     "pseudo_subset", "hidden", "patch"):
+                     "eval_interval", "eval_subset", "pseudo_subset", "hidden", "patch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1", name)
+        least = 1 if self.variant == "supervised" else 0
+        if self.baseline_iterations < least:
+            raise ConfigError(f"baseline_iterations must be >= {least} for the "
+                              f"{self.variant} variant", "baseline_iterations")
         for name in ("lr", "lr_power", "weak_strength", "strong_strength"):
             v = getattr(self, name)
             if not 0 <= v < float("inf"):
@@ -137,8 +145,6 @@ class RmlConfig:
         return self
 
     def model_noise(self) -> NoiseConfig:
-        if not self.noise_model:
-            return NoiseConfig()
         return NoiseConfig(dropout_rate=self.dropout_rate,
                            stochastic_depth_survival=self.sd_survival)
 
@@ -201,16 +207,15 @@ def poly_lr(base: float, it: int, total: int, power: float) -> float:
 
 
 def in_channels_for(arch: str, images: np.ndarray, labels: np.ndarray) -> int:
-    """Channels the model sees; vector tasks feed mlp the flattened image."""
-    n, h, w, ch = images.shape
-    if labels.shape[1:] == (1, 1) and (h, w) != (1, 1):
-        if arch != "mlp":
-            raise ConfigError(
-                f"{arch} produces per-pixel output but the dataset has 1x1 labels; "
-                "only mlp supports flattened classification input"
-            )
-        return h * w * ch
-    return ch
+    """Channels the model sees: the images' last axis. Data with 1x1 labels
+    is vector data (``data.load_dataset`` flattens its images), which only
+    mlp takes."""
+    if labels.shape[1:] == (1, 1) and arch != "mlp":
+        raise ConfigError(
+            f"{arch} produces per-pixel output but the dataset has 1x1 labels; "
+            "only mlp supports flattened classification input"
+        )
+    return images.shape[-1]
 
 
 def _build_learner(cfg: RmlConfig, i: int, k: int, images, labels, seed) -> NetModel:
@@ -226,7 +231,7 @@ def soft_predictions(model: NetModel, images: np.ndarray) -> np.ndarray:
     was = model.mode
     model.eval()
     try:
-        return softmax(model.forward(images)[1])
+        return softmax(model.logits(images))
     finally:
         model.mode = was
 
@@ -279,16 +284,18 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
                                 lr, rng_aug, rng_noise, f"baseline loss at iteration {it}")
         if on_eval is not None and (it + 1) % cfg.eval_interval == 0:
             on_eval(it + 1, lr, loss, model)
+    release_heap()
     return model
 
 
 def _start_models(labeled: Dataset, cfg: RmlConfig, k: int, on_eval):
     """The supervised run's one model, or the models stage 1 starts from: one
-    shared baseline, one per learner of a heterogeneous pair, or two fresh
-    initializations for mutual learning from scratch."""
+    shared baseline, one per learner of a heterogeneous pair, or, at 0
+    baseline iterations, two fresh initializations for mutual learning from
+    scratch."""
     if cfg.variant == "supervised":
         return train_baseline(labeled, cfg, k, on_eval=on_eval)
-    if not cfg.init_from_baseline:
+    if cfg.baseline_iterations == 0:
         return tuple(_build_learner(cfg, i, k, labeled.images, labeled.labels,
                                     seed=cfg.seed + 101 * (i + 1)) for i in range(2))
     if cfg.arch_pair[0] == cfg.arch_pair[1] and cfg.feature_dim[0] == cfg.feature_dim[1]:
@@ -393,8 +400,8 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
                    lr: float, k: int, rngs: dict, labeled_batch):
     """One mutual-learning step on an unlabeled pair.
 
-    ``batch1``/``batch2`` are ``(images, ids)``; ``batch2`` may be ``None``
-    when CutMix is disabled (vector classification tasks). Each learner
+    ``batch1``/``batch2`` are ``(images, ids)``; ``batch2`` is ``None``
+    on data with 1x1 labels, which takes no CutMix. Each learner
     labels each half with :func:`pseudo_labels`; the halves are mixed with
     the CutMix masks. Every student trains on its peer's labels, plus its
     own unless the variant is direct_ml. Both learners' pseudo labels and
@@ -404,15 +411,11 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
     Returns ``(per_student_losses, StepInfo)``.
     """
     batches = [batch1] if batch2 is None else [batch1, batch2]
-    x1 = batch1[0]
+    x_mix, mask_stack = batch1[0], None
     if batch2 is not None:
-        h, w = x1.shape[1:3]
-        mask_stack = np.stack([sample_rect_mask(h, w, rngs["mask"])
-                               for _ in range(len(x1))])
-        x_mix = mix_images(x1, batch2[0], mask_stack)
-    else:
-        mask_stack = None
-        x_mix = x1
+        h, w = x_mix.shape[1:3]
+        mask_stack = np.stack([sample_rect_mask(h, w, rngs["mask"]) for _ in range(len(x_mix))])
+        x_mix = mix_images(x_mix, batch2[0], mask_stack)
 
     # per learner, one (labels, feats, fallback) per half
     halves = [[pseudo_labels(quad, i, x, ids, stores, cfg, rngs["teacher"][i])
@@ -421,8 +424,7 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
 
     losses, grads_list, info_terms, info_valid = [], [], [], []
     for i, student in enumerate(quad.students):
-        xs = (photometric(x_mix, cfg.strong_strength, rngs["student"][i])
-              if cfg.noise_input else x_mix.copy())
+        xs = photometric(x_mix, cfg.strong_strength, rngs["student"][i])
         peer, own = labels[1 - i], labels[i]
         terms = [(peer.labels, peer.valid)]
         if cfg.variant != "direct_ml":
@@ -498,10 +500,6 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
     """
     cfg.validate()
     stages = 0 if cfg.variant == "supervised" else cfg.stages
-    if (stages and len(unlabeled) > 0 and unlabeled.labels.shape[1:] == (1, 1)
-            and cfg.use_cutmix):
-        raise ConfigError("use_cutmix requires per-pixel labels; disable it "
-                          "for vector classification datasets")
     records: list[MetricsRecord] = []
     out_path = Path(out_dir) if out_dir is not None else None
     sink = None
@@ -540,6 +538,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
         rngs_labeled = [np.random.default_rng(s) for s in streams[6:8]]
         rng_metrics = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x3E7A1]))
 
+        n_halves = 1 if unlabeled.labels.shape[1:] == (1, 1) else 2   # CutMix needs pixel labels
         pseudo_sub = None
         if len(unlabeled) > 0:
             n_sub = min(cfg.pseudo_subset, len(unlabeled))
@@ -563,7 +562,6 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                 losses_l = labeled_step(quad, lab_imgs, lab_labels, cfg, lr, rngs_labeled)
                 losses_u = None
                 if len(unlabeled) > 0:
-                    n_halves = 2 if cfg.use_cutmix else 1
                     ui = _sample(rng_data, len(unlabeled), n_halves * cfg.batch_unlabeled)
                     parts = [(unlabeled.images[j], unlabeled.ids[j])
                              for j in np.split(ui, n_halves)]
@@ -620,3 +618,4 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
     finally:
         if sink is not None:
             sink.close()
+        release_heap()

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rml_lab import cli
+from rml_lab import cli, netcore
 from rml_lab.config import config_from_dict, resolved_dump, validate_config
 from rml_lab.data import load_dataset, make_split, read_idx, write_idx
 from rml_lab.errors import ConfigError, StateError
@@ -87,11 +87,47 @@ def test_bad_value_error_names_its_own_line_once(tmp_path, capsys):
     # at line 4, where baseline_iterations is, and name the file once
     path = tmp_path / "cfg.json"
     path.write_text('{\n  "iterations": 10,\n  "eval_interval": 5,\n'
-                    '  "baseline_iterations": 0\n}\n')
+                    '  "baseline_iterations": -1\n}\n')
     rc = cli.main(["train", "--config", str(path)])
     assert rc == cli.EXIT_CODES["config"]
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error:config: {path}:4: baseline_iterations must be >= 1"]
+    assert err == [f"error:config: {path}:4: baseline_iterations must be >= 0 "
+                   "for the rml variant"]
+
+
+def test_supervised_run_needs_a_baseline_iteration(tmp_path, capsys):
+    # 0 baseline iterations means mutual learning from scratch; the
+    # supervised variant trains the baseline alone, so it needs one
+    path = write_config(tmp_path, {"variant": "supervised", "baseline_iterations": 0})
+    rc = cli.main(["validate", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error:config: {path}:3: baseline_iterations must be >= 1 for the supervised variant"]
+
+
+@pytest.mark.parametrize("field", ["noise_input", "noise_model", "init_from_baseline",
+                                   "use_cutmix"])
+@pytest.mark.parametrize("form", ["config", "manifest"])
+def test_removed_switch_is_one_unknown_field_error_on_its_line(tmp_path, capsys, field,
+                                                               form):
+    # the ablation switches are magnitudes at zero now: strong_strength 0,
+    # dropout_rate 0 with sd_survival 1, baseline_iterations 0, and CutMix
+    # follows the labels; an old config or manifest names its line
+    cfg = {"seed": 1, field: False, "stages": 1}
+    blob = cfg if form == "config" else {"dataset_meta": {"num_classes": 6},
+                                         "resolved_config": cfg}
+    path = tmp_path / f"{form}.json"
+    path.write_text(json.dumps(blob, indent=2) + "\n")
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), start=1)
+                if f'"{field}"' in text)
+    rc = cli.main(["validate", "--config", str(path)])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error:config: {path}:{line}: unknown field(s) ['{field}']"]
 
 
 def test_manifest_bad_value_names_its_resolved_config_line(tmp_path, capsys):
@@ -298,6 +334,18 @@ def test_stale_lock_is_taken_over(tmp_path):
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     assert (out / "manifest.json").exists()
     assert not (out / ".lock").exists()
+
+
+def test_train_hands_back_the_heap(tmp_path, monkeypatch):
+    # the baseline and the run after it each end with a trim
+    data = gen_shapes(tmp_path, seed=7)
+    netcore._eval_pool()   # made first: making it looks malloc_trim up
+    trims = []
+    monkeypatch.setattr(netcore, "_malloc_trim", trims.append)
+    cfg_path = write_config(tmp_path, quick_train_blob(data, tmp_path / "run"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    assert trims == [0, 0]
 
 
 def test_eval_checkpoint(tmp_path, capsys):
@@ -519,8 +567,10 @@ def test_preset_table_is_well_formed(name):
     assert spec["dataset"] in ("shapes", "mnist") and spec["seeds"] >= 1
     stages = {}
     for row, overrides in spec["rows"].items():
-        cfg = RmlConfig(**{**spec["train"], **overrides})
-        cfg.validate()
+        # every row is a config file that validates, and sets no switch
+        blob = json.loads(json.dumps({**spec["train"], **overrides}))
+        assert not any(isinstance(v, bool) for v in blob.values()), row
+        cfg = config_from_dict(blob).train
         stages[row] = 0 if cfg.variant == "supervised" else cfg.stages
     for a, b, metric, stage in spec["comparisons"].values():
         assert metric in ("final_miou", "pseudo_acc", "tv_teachers")
@@ -625,7 +675,7 @@ def test_train_config_directory_is_one_config_error(tmp_path, capsys):
     assert "cfgdir" in err[0]
 
 
-@pytest.mark.parametrize("field, value", [("tau", "0.5"), ("use_cutmix", "no"),
+@pytest.mark.parametrize("field, value", [("tau", "0.5"), ("lr", True),
                                           ("iterations", 1000.0)])
 def test_wrongly_typed_value_is_one_config_error_on_its_line(tmp_path, capsys, field, value):
     path = write_config(tmp_path, {"seed": 1, field: value, "stages": 1})
@@ -677,6 +727,24 @@ def test_noisy_run_checkpoints_evaluate_like_the_run(tmp_path, capsys):
             got = json.loads(capsys.readouterr().out)
             miou, acc = evaluate_model(model, ds, k)
             assert (got["miou"], got["pixel_acc"]) == (miou, acc), (name, split_name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_checkpoint_with_a_non_finite_param_is_one_format_error(tmp_path, capsys, bad):
+    # a one-byte overwrite can make a param NaN or infinite, which no trained
+    # model has; its forward would only warn and score garbage
+    data = gen_shapes(tmp_path, seed=12)
+    model = build_model("mlp", K=4, C=4, in_channels=3)
+    model.params["fc2_w"][1, 2] = bad
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error:format: param fc2_w in checkpoint {ckpt} is not finite"]
 
 
 def test_eval_checkpoint_with_bad_noise_is_one_format_error(tmp_path, capsys):

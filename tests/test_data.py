@@ -188,6 +188,29 @@ def test_dataset_roundtrip(tmp_path):
             == (tmp_path / "again" / "images.idx").read_bytes())
 
 
+def test_digits_directory_loads_as_vectors(tmp_path):
+    # 1x1 labels: load_dataset flattens each image into channels, in C order,
+    # and the files keep the 28x28 images
+    train = generate_digits_dataset(12, seed=5)
+    ev = generate_digits_dataset(4, seed=6)
+    save_dataset(tmp_path, train, ev, {"dataset": "mnist", "num_classes": 10})
+    assert read_idx(tmp_path / "images.idx").shape == (12, 28, 28, 1)
+    t2, e2, _ = load_dataset(tmp_path)
+    assert t2.images.shape == (12, 1, 1, 784) and e2.images.shape == (4, 1, 1, 784)
+    np.testing.assert_array_equal(t2.images, train.images.reshape(12, 1, 1, 784))
+    np.testing.assert_array_equal(e2.images, ev.images.reshape(4, 1, 1, 784))
+    np.testing.assert_array_equal(t2.labels, train.labels)
+
+
+def test_empty_vector_split_loads(tmp_path):
+    train = generate_digits_dataset(3, seed=5)
+    empty = Dataset(np.zeros((0, 28, 28, 1), np.float32), np.zeros((0, 1, 1), np.int64),
+                    np.zeros(0, np.int64))
+    save_dataset(tmp_path, train, empty, {"num_classes": 10})
+    _, ev, _ = load_dataset(tmp_path)
+    assert ev.images.shape == (0, 1, 1, 784)
+
+
 def test_split_roundtrip(tmp_path):
     s = make_split(50, 0.2, seed=3)
     path = save_split(tmp_path, s)

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from rml_lab import netcore
-from rml_lab.errors import ConfigError, FormatError, InputError, InternalError, TrainingError
+from rml_lab.errors import (
+    ConfigError,
+    FormatError,
+    InputError,
+    InternalError,
+    StateError,
+    TrainingError,
+)
 from rml_lab.netcore import (
     NoiseConfig,
     build_model,
@@ -131,20 +138,20 @@ def test_float32_gradients_match_float64(kind):
 
 
 def test_mlp_logit_shape():
-    m = build_model("mlp", K=10, C=64, seed=7, in_channels=12)
+    m = build_model("mlp", K=10, C=64, seed=7, in_channels=12).eval()
     _, logits = m.forward(np.random.default_rng(0).random((1, 1, 1, 12)))
     assert logits.shape == (1, 1, 1, 10)
 
 
 def test_cnn_feature_shape():
-    m = build_model("cnn", K=5, C=16, seed=3, in_channels=3)
+    m = build_model("cnn", K=5, C=16, seed=3, in_channels=3).eval()
     feats, logits = m.forward(np.random.default_rng(0).random((1, 8, 8, 3)))
     assert feats.shape == (1, 8, 8, 16)
     assert logits.shape == (1, 8, 8, 5)
 
 
 def test_attn_feature_shape():
-    m = build_model("attn", K=4, C=8, seed=3, in_channels=3, patch=2)
+    m = build_model("attn", K=4, C=8, seed=3, in_channels=3, patch=2).eval()
     feats, logits = m.forward(np.random.default_rng(0).random((2, 6, 4, 3)))
     assert feats.shape == (2, 6, 4, 8)
     assert logits.shape == (2, 6, 4, 4)
@@ -169,14 +176,24 @@ def test_eval_forward_is_pure():
         np.testing.assert_array_equal(f1, f2)
 
 
+def train_forward(m, x, rng=None):
+    """The train-mode ``(features, logits)`` that a loss's forward computes."""
+    return netcore._forward(m, x, rng, want_cache=False)[:2]
+
+
+def test_forward_in_train_mode_is_a_state_error():
+    m = small_model("cnn")
+    for forward in (m.forward, m.logits):
+        with pytest.raises(StateError, match="eval mode"):
+            forward(small_input("cnn"))
+
+
 def test_noise_off_train_equals_eval():
     for kind in ("mlp", "cnn", "attn"):
         m = small_model(kind, noise=NoiseConfig())
         x = small_input(kind)
-        m.train()
-        _, lt = m.forward(x)
-        m.eval()
-        _, le = m.forward(x)
+        _, lt = train_forward(m.train(), x)
+        _, le = m.eval().forward(x)
         np.testing.assert_array_equal(lt, le)
 
 
@@ -185,7 +202,7 @@ def test_dropout_zeroed_fraction_binomial():
     m = build_model("mlp", K=2, C=10_000, seed=0, in_channels=4, hidden=8,
                     noise=NoiseConfig(dropout_rate=0.5))
     x = np.abs(np.random.default_rng(5).random((1, 1, 1, 4))) + 0.5
-    feats, _ = m.forward(x, rng=np.random.default_rng(11))
+    feats, _ = train_forward(m, x, np.random.default_rng(11))
     dropped, mask = netcore._dropout(m, feats, np.random.default_rng(11))
     frac = float((mask == 0).mean())
     assert abs(frac - 0.5) <= 0.02
@@ -196,21 +213,19 @@ def test_dropout_zeroed_fraction_binomial():
 def test_stochastic_depth_survival_one_is_identity():
     m = small_model("cnn", noise=NoiseConfig(0.0, 1.0))
     x = small_input("cnn")
-    m.train()
-    _, lt = m.forward(x, rng=np.random.default_rng(0))
-    m.eval()
-    _, le = m.forward(x)
+    _, lt = train_forward(m.train(), x, np.random.default_rng(0))
+    _, le = m.eval().forward(x)
     np.testing.assert_array_equal(lt, le)
 
 
 def test_train_mode_with_noise_requires_rng():
     m = small_model("mlp", noise=NOISY)
     with pytest.raises(InputError):
-        m.forward(small_input("mlp"))
+        train_forward(m, small_input("mlp"))
 
 
 def test_input_shape_errors():
-    m = small_model("cnn")
+    m = small_model("cnn").eval()
     with pytest.raises(InputError):
         m.forward(np.zeros((1, 4, 4, 7)))
     a = small_model("attn")
@@ -245,12 +260,13 @@ def test_eval_forward_chunks_are_bitwise_whole_batch(kind, monkeypatch):
 
 
 def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
-    # a 28x28 image is one pixel once flattened: 4096 images per chunk, and
-    # the remainder joins the last chunk, so no chunk has fewer rows than
-    # the whole-batch matmuls would (fewer rows change BLAS summation here)
+    # a 28x28 image flattened (as load_dataset gives it) is one pixel: 4096
+    # images per chunk, and the remainder joins the last chunk, so no chunk
+    # has fewer rows than the whole-batch matmuls would (fewer rows change
+    # BLAS summation here)
     m = build_model("mlp", K=10, C=64, noise=NOISY, seed=3, in_channels=784).eval()
     step = netcore.EVAL_CHUNK_PIXELS
-    x = np.random.default_rng(5).random((2 * step + 3, 28, 28, 1))
+    x = np.random.default_rng(5).random((2 * step + 3, 1, 1, 784))
     whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
     sizes = count_chunks(monkeypatch)
     feats, logits = m.forward(x)
@@ -263,13 +279,16 @@ def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["cnn", "attn", "mlp"])
-def test_train_forward_is_unchunked(kind):
+def test_train_forward_is_unchunked(kind, monkeypatch):
+    # a loss's train-mode forward is one pass over the whole batch, with the
+    # draws of one train_forward
     m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
     x = np.random.default_rng(6).random((37, 16, 16, 3))
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    _, logits = m.forward(x, rng=rng_a)
-    _, whole, _ = netcore._forward(m, x, rng_b, want_cache=False)
-    np.testing.assert_array_equal(logits, whole)
+    train_forward(m, x, rng_a)
+    sizes = count_chunks(monkeypatch)
+    loss_and_gradients(m, x, [(label_map((37, 16, 16), 6), None)], rng=rng_b)
+    assert sizes == [37]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -290,8 +309,8 @@ def test_eval_forward_frees_each_patch_matrix_after_its_matmul():
 
 
 def chunked_model(kind, monkeypatch):
-    """An eval model on 16x16x3 images, 16 images a chunk; the mlp takes them
-    flattened, with the chunk size cut to 16 flattened pixels."""
+    """An eval model on 16x16x3 images, 16 images a chunk; the flat mlp takes
+    them flattened, with the chunk size cut to 16 flattened pixels."""
     if kind == "flat-mlp":
         monkeypatch.setattr(netcore, "EVAL_CHUNK_PIXELS", 16)
         return build_model("mlp", K=6, C=16, noise=NOISY, seed=3, in_channels=768).eval()
@@ -303,6 +322,8 @@ def chunked_model(kind, monkeypatch):
 def test_eval_forward_bits_do_not_depend_on_workers(kind, n, monkeypatch):
     m = chunked_model(kind, monkeypatch)
     x = np.random.default_rng(n).random((n, 16, 16, 3))
+    if kind == "flat-mlp":
+        x = x.reshape(n, 1, 1, 768)
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 0)
     serial_f, serial_l = m.forward(x)
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 3)   # three workers, whatever the CPU count
@@ -313,8 +334,19 @@ def test_eval_forward_bits_do_not_depend_on_workers(kind, n, monkeypatch):
             feats, logits = m.forward(x)
             np.testing.assert_array_equal(feats, serial_f)
             np.testing.assert_array_equal(logits, serial_l)
+            assert m.logits(x).tobytes() == serial_l.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_release_heap_trims_once_the_pool_exists(monkeypatch):
+    trims = []
+    monkeypatch.setattr(netcore, "_malloc_trim", None)   # no pool yet, or not glibc
+    netcore.release_heap()
+    netcore._eval_pool()   # made first: making it looks malloc_trim up
+    monkeypatch.setattr(netcore, "_malloc_trim", trims.append)
+    netcore.release_heap()
+    assert trims == [0]
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 5])
@@ -345,13 +377,13 @@ def test_spare_cpus_leaves_the_caller_its_cpu():
 
 @pytest.mark.parametrize("spare", [0, 3])
 def test_eval_forward_with_noise_draws_nothing(spare, monkeypatch):
+    # the eval forward passes no generator down, so a draw would be an error
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: spare)
-    rng = np.random.default_rng(9)
-    before = rng.bit_generator.state
     for kind in ("cnn", "attn", "mlp"):
-        small_model(kind, noise=NOISY).eval().forward(
-            np.random.default_rng(1).random((37, 16, 16, 5 if kind == "mlp" else 2)), rng=rng)
-    assert rng.bit_generator.state == before
+        m = small_model(kind, noise=NOISY).eval()
+        x = np.random.default_rng(1).random((37, 16, 16, 5 if kind == "mlp" else 2))
+        _, logits = m.forward(x)
+        assert logits.tobytes() == netcore._forward(m, x, None, want_cache=False)[1].tobytes()
 
 
 @pytest.mark.parametrize("spare", [0, 3])
@@ -581,7 +613,7 @@ def test_loss_and_logit_gradient_give_the_bits_of_the_reduction_formulas(n_terms
                     terms[empty] = (terms[empty][0], np.zeros(nhw))
                 seen.clear()
                 losses, _ = loss_and_gradients(m, x, terms)
-                _, logits = m.forward(x)   # no noise: the loss's own forward
+                _, logits = train_forward(m, x)   # no noise: the loss's own forward
                 want_losses, want_dlogits = loss_terms(logits, terms)
                 assert losses == want_losses
                 (dlogits,) = seen

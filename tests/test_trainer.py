@@ -1,5 +1,6 @@
 import copy
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rml_lab.augment import mix_images, photometric
 from rml_lab.data import Dataset, generate_shapes_dataset, make_split
 from rml_lab import trainer
-from rml_lab.errors import ConfigError, TrainingError
+from rml_lab.errors import TrainingError
 from rml_lab.metrics import pseudo_accuracy, tv_distance
 from rml_lab.netcore import load_checkpoint, softmax
 from rml_lab.protobank import init_bank
@@ -28,6 +29,8 @@ from rml_lab.trainer import (
 from oracles import cross_entropy, float64_copy
 
 K = 4
+# no dropout and no stochastic depth
+NO_MODEL_NOISE = dict(dropout_rate=0.0, sd_survival=1.0)
 
 
 def tiny_cfg(**kw) -> RmlConfig:
@@ -90,7 +93,7 @@ def separable_dataset(n=64, seed=0):
 def test_baseline_separable_reaches_high_accuracy():
     ds = separable_dataset()
     cfg = tiny_cfg(arch_pair="mlp", feature_dim=8, baseline_iterations=400,
-                   lr=0.5, noise_model=False)
+                   lr=0.5, **NO_MODEL_NOISE)
     model = train_baseline(ds, cfg, k=2)
     preds = softmax(model.eval().forward(ds.images.astype(np.float64))[1]).argmax(-1)
     assert (preds == ds.labels).mean() >= 0.99
@@ -161,7 +164,7 @@ def test_init_stage_skips_banks_for_iml(shapes_data):
 
 def test_labeled_step_loss_matches_direct_ce(shapes_data):
     labeled, unlabeled, _ = shapes_data
-    cfg = tiny_cfg(noise_model=False, weak_strength=0.0)
+    cfg = tiny_cfg(**NO_MODEL_NOISE, weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
     quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
     quad = float64_quad(quad)
@@ -192,7 +195,7 @@ def test_labeled_step_zero_lr_keeps_parameters(shapes_data):
 
 def test_labeled_step_overfits_one_batch(shapes_data):
     labeled, unlabeled, _ = shapes_data
-    cfg = tiny_cfg(noise_model=False, weak_strength=0.0)
+    cfg = tiny_cfg(**NO_MODEL_NOISE, weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
     quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
@@ -255,7 +258,7 @@ def test_rml_with_uniform_confidence_equals_iml_labels(shapes_data):
     # identical prototype rows -> equidistant -> uniform omega; the rectified
     # argmax then equals the plain hardened pseudo label at stage init
     labeled, unlabeled, _ = shapes_data
-    cfg_rml = tiny_cfg(variant="rml", weak_strength=0.0, noise_model=False)
+    cfg_rml = tiny_cfg(variant="rml", weak_strength=0.0, **NO_MODEL_NOISE)
     base = train_baseline(labeled, cfg_rml, k=K)
     quad, stores = init_stage(base, labeled, unlabeled, cfg_rml, k=K)
     for bank in quad.banks:
@@ -270,7 +273,7 @@ def test_rml_with_uniform_confidence_equals_iml_labels(shapes_data):
                   for x, ids in (b1, b2)]
         return trainer._mix_halves(halves, masks)
 
-    cfg_iml = tiny_cfg(variant="iml", weak_strength=0.0, noise_model=False)
+    cfg_iml = tiny_cfg(variant="iml", weak_strength=0.0, **NO_MODEL_NOISE)
     quad_iml, stores_iml = init_stage(base, labeled, unlabeled, cfg_iml, k=K)
     np.testing.assert_array_equal(mixed(quad, stores, cfg_rml).labels,
                                   mixed(quad_iml, stores_iml, cfg_iml).labels)
@@ -337,7 +340,7 @@ def test_four_term_loss_oracle(shapes_data):
     # teachers equal students at init; iml losses must equal four CE values
     # computed independently, and reduce to direct_ml cross terms + self terms
     labeled, unlabeled, _ = shapes_data
-    cfg = tiny_cfg(variant="iml", noise_model=False, noise_input=False,
+    cfg = tiny_cfg(variant="iml", strong_strength=0.0, **NO_MODEL_NOISE,
                    weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
     quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
@@ -373,7 +376,7 @@ def test_four_term_loss_oracle(shapes_data):
 
 def test_direct_ml_uses_cross_terms_only(shapes_data):
     labeled, unlabeled, _ = shapes_data
-    cfg = tiny_cfg(variant="direct_ml", noise_model=False, noise_input=False,
+    cfg = tiny_cfg(variant="direct_ml", strong_strength=0.0, **NO_MODEL_NOISE,
                    weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
     quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
@@ -514,18 +517,16 @@ def test_run_rml_single_stage_contract(shapes_data):
     assert res.summary["initial_pseudo_acc"] is not None
 
 
-def test_cutmix_needs_pixel_labels():
-    ds = separable_dataset()
-    cfg = tiny_cfg(arch_pair="mlp", use_cutmix=True)
-    with pytest.raises(ConfigError):
-        run_rml(ds, ds, ds, cfg, k=2)
+def test_classification_pipeline_without_cutmix(monkeypatch):
+    # 1x1 labels: CutMix follows the label maps, so no mask is drawn
+    def no_mask(*args):
+        raise AssertionError("CutMix mask drawn for 1x1 labels")
 
-
-def test_classification_pipeline_without_cutmix():
+    monkeypatch.setattr(trainer, "sample_rect_mask", no_mask)
     train = separable_dataset(n=60, seed=1)
     ev = separable_dataset(n=20, seed=2)
     split = make_split(60, 0.2, seed=0)
-    cfg = tiny_cfg(arch_pair="mlp", use_cutmix=False, variant="iml_noise",
+    cfg = tiny_cfg(arch_pair="mlp", variant="iml_noise",
                    iterations=20, eval_interval=10, baseline_iterations=40)
     res = run_rml(train.subset(split.labeled), train.subset(split.unlabeled),
                   ev, cfg, k=2)
@@ -541,3 +542,35 @@ def test_hetero_pair_runs(shapes_data):
     assert res.quad.students[0].arch.kind == "mlp"
     assert res.quad.students[1].arch.kind == "cnn"
     assert len(res.records) == 1
+
+
+def test_zero_baseline_iterations_start_two_fresh_learners(shapes_data, monkeypatch):
+    labeled, unlabeled, ev = shapes_data
+
+    def no_baseline(*args, **kw):
+        raise AssertionError("train_baseline ran")
+
+    starts = []
+
+    def recorded(baselines, *args, **kw):
+        starts.append(baselines)
+        return init_stage(baselines, *args, **kw)
+
+    monkeypatch.setattr(trainer, "train_baseline", no_baseline)
+    monkeypatch.setattr(trainer, "init_stage", recorded)
+    cfg = tiny_cfg(variant="iml", baseline_iterations=0, iterations=10, eval_interval=10)
+    run_rml(labeled, unlabeled, ev, cfg, k=K)
+    (first,) = starts
+    assert len(first) == 2 and first[0] is not first[1]
+    assert any(not np.array_equal(first[0].params[key], first[1].params[key])
+               for key in first[0].params)
+    for i, model in enumerate(first):   # fresh: the parameters of a new build
+        fresh = trainer._build_learner(cfg, i, K, labeled.images, labeled.labels,
+                                       seed=cfg.seed + 101 * (i + 1))
+        for key in fresh.params:
+            np.testing.assert_array_equal(model.params[key], fresh.params[key])
+
+
+def test_no_config_field_is_a_switch():
+    # an ablation switch is a magnitude at zero, not a boolean field
+    assert bool not in typing.get_type_hints(RmlConfig).values()
