@@ -6,7 +6,9 @@ SGD step per student on the peer+self terms), then batch prototypes, bank
 momentum updates and the teacher EMA updates, in that order. Stage
 boundaries recompute the frozen soft pseudo labels from the mean teachers
 and restart the loop on them. The supervised variant is the run with zero
-stages: its metrics records come from the baseline's own training.
+stages: its metrics records come from the baseline's own training. Each
+side of the pair is one :class:`Learner`; a stage rebuilds its models, bank
+and store, and its three random streams outlive the stage.
 
 The variants differ only in where a learner's pseudo labels come from and
 which loss terms apply. :func:`pseudo_labels` is the one source, used by
@@ -44,7 +46,7 @@ from .netcore import (
     sgd_step,
     softmax,
 )
-from .protobank import bank_tensors, batch_prototypes, init_bank, update_bank
+from .protobank import PrototypeBank, bank_tensors, batch_prototypes, init_bank, update_bank
 from .rectify import (
     HardLabels,
     StagePseudoStore,
@@ -154,12 +156,26 @@ class RmlConfig:
 
 
 @dataclass
+class Learner:
+    """One side of the pair: a student, its mean teacher, the teacher's
+    prototype bank (None but for prototype confidence), the stage store (None
+    but for rml) and the streams of its labeled step, student and teacher."""
+
+    student: NetModel
+    teacher: NetModel
+    bank: PrototypeBank | None
+    store: StagePseudoStore | None
+    rng_labeled: np.random.Generator
+    rng_student: np.random.Generator
+    rng_teacher: np.random.Generator
+
+
+@dataclass
 class ModelQuad:
-    """Two students, their EMA mean teachers, and per-learner banks."""
+    """A stage's students and mean teachers; ``RunResult`` holds the last stage's."""
 
     students: list
     teachers: list
-    banks: list
 
 
 @dataclass
@@ -288,20 +304,20 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
     return model
 
 
-def _start_models(labeled: Dataset, cfg: RmlConfig, k: int, on_eval):
-    """The supervised run's one model, or the models stage 1 starts from: one
-    shared baseline, one per learner of a heterogeneous pair, or, at 0
-    baseline iterations, two fresh initializations for mutual learning from
-    scratch."""
-    if cfg.variant == "supervised":
-        return train_baseline(labeled, cfg, k, on_eval=on_eval)
+def _start_models(labeled: Dataset, cfg: RmlConfig, k: int, on_eval) -> tuple:
+    """The pair stage 1 starts from: at 0 baseline iterations, two fresh
+    initializations for mutual learning from scratch; one baseline per
+    learner of a heterogeneous pair; else one shared baseline twice, which is
+    also the supervised run's one model (the run that passes ``on_eval``)."""
     if cfg.baseline_iterations == 0:
         return tuple(_build_learner(cfg, i, k, labeled.images, labeled.labels,
                                     seed=cfg.seed + 101 * (i + 1)) for i in range(2))
-    if cfg.arch_pair[0] == cfg.arch_pair[1] and cfg.feature_dim[0] == cfg.feature_dim[1]:
-        return train_baseline(labeled, cfg, k)
-    return tuple(train_baseline(labeled, cfg, k, arch_index=i, seed=cfg.seed + i)
-                 for i in range(2))
+    if cfg.variant != "supervised" and (cfg.arch_pair[0] != cfg.arch_pair[1]
+                                        or cfg.feature_dim[0] != cfg.feature_dim[1]):
+        return tuple(train_baseline(labeled, cfg, k, arch_index=i, seed=cfg.seed + i)
+                     for i in range(2))
+    model = train_baseline(labeled, cfg, k, on_eval=on_eval)
+    return model, model
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +326,23 @@ def _start_models(labeled: Dataset, cfg: RmlConfig, k: int, on_eval):
 
 
 def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
-               k: int, stage: int = 1):
-    """Clone students/teachers from the stage baselines; build banks and stores.
+               k: int, stage: int, rngs) -> list[Learner]:
+    """The stage's two learners, cloned from the pair ``baselines`` (a shared
+    baseline is the same model twice), each with the streams ``rngs`` gives
+    it as ``(rng_labeled, rng_student, rng_teacher)``.
 
-    ``baselines`` is one model (used for both learners) or a pair. The first
-    stage stores each baseline's own soft predictions; later stages pass the
-    previous mean teachers and the store becomes their elementwise average,
-    shared by both learners. Banks and stores are only materialized for the
-    rectifying variant; learners that share one baseline start from copies
-    of one bank.
+    Only rml keeps stores, and banks only with prototype confidence. Stage 1
+    stores each baseline's own soft predictions; later stages start from the
+    previous mean teachers, and both learners share their average. Learners
+    of one shared baseline share its store and start from copies of one bank.
     """
-    if isinstance(baselines, NetModel):
-        baselines = (baselines, baselines)
     shared = baselines[0] is baselines[1]
-    students, teachers = [], []
-    for base in baselines:
-        s = base.clone()
-        s.noise = cfg.model_noise()
-        students.append(s.train())
-        t = base.clone()
-        t.noise = cfg.model_noise()
-        teachers.append(t.eval())
     banks = [None, None]
     if cfg.needs_rectification and cfg.confidence_source == "prototype":
         banks[0] = init_bank(baselines[0], labeled, unlabeled, k=k, lam=cfg.lam)
         banks[1] = (banks[0].copy() if shared else
                     init_bank(baselines[1], labeled, unlabeled, k=k, lam=cfg.lam))
-    quad = ModelQuad(students, teachers, banks)
-    stores = (None, None)
+    stores = [None, None]
     if cfg.needs_rectification and len(unlabeled) > 0:
         # the store and the average are float64, as all of rectification is
         p0 = [soft_predictions(b, unlabeled.images).astype(np.float64)
@@ -348,8 +353,9 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
             p0[0] *= 0.5
             del p0[1]
         per = [StagePseudoStore(unlabeled.ids, p, stage) for p in p0]
-        stores = (per[0], per[-1])
-    return quad, stores
+        stores = [per[0], per[-1]]
+    return [Learner(base.clone().train(), base.clone().eval(), bank, store, *streams)
+            for base, bank, store, streams in zip(baselines, banks, stores, rngs)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +363,26 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
 # ---------------------------------------------------------------------------
 
 
-def labeled_step(quad: ModelQuad, images: np.ndarray, labels: np.ndarray,
-                 cfg: RmlConfig, lr: float, rngs) -> list:
+def labeled_step(learners: list[Learner], images: np.ndarray, labels: np.ndarray,
+                 cfg: RmlConfig, lr: float) -> list:
     """One supervised SGD step per student; teachers untouched."""
-    return [_supervised_step(student, images, labels, cfg.weak_strength, lr, rngs[i],
-                             rngs[i], "labeled loss")
-            for i, student in enumerate(quad.students)]
+    return [_supervised_step(learner.student, images, labels, cfg.weak_strength, lr,
+                             learner.rng_labeled, learner.rng_labeled, "labeled loss")
+            for learner in learners]
 
 
-def pseudo_labels(quad: ModelQuad, i: int, x: np.ndarray, ids, stores, cfg: RmlConfig,
+def pseudo_labels(learner: Learner, x: np.ndarray, ids, cfg: RmlConfig,
                   rng) -> tuple[HardLabels, np.ndarray, int]:
-    """Learner ``i``'s pseudo labels for one unlabeled batch, from the source
-    its variant names (see the module docstring).
+    """A learner's pseudo labels for one unlabeled batch, from the source its
+    variant names (see the module docstring).
 
     Returns ``(labels, feats, fallback_pixels)``, with the features of the
     model that made the labels.
     """
     if cfg.needs_rectification:
-        return rectified_labels(quad.teachers[i], x, ids, quad.banks[i], stores[i],
+        return rectified_labels(learner.teacher, x, ids, learner.bank, learner.store,
                                 cfg.weak_strength, cfg.tau, rng, cfg.confidence_source)
-    model = quad.students[i] if cfg.variant == "direct_ml" else quad.teachers[i]
+    model = learner.student if cfg.variant == "direct_ml" else learner.teacher
     was = model.mode
     model.eval()
     try:
@@ -396,41 +402,41 @@ def _mix_halves(halves: list, masks) -> HardLabels:
                       mix_label_maps(y1.valid, y2.valid, masks), y1.num_classes)
 
 
-def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
-                   lr: float, k: int, rngs: dict, labeled_batch):
+def unlabeled_step(learners: list[Learner], batch1, batch2, cfg: RmlConfig,
+                   lr: float, k: int, rng_mask, labeled_batch):
     """One mutual-learning step on an unlabeled pair.
 
     ``batch1``/``batch2`` are ``(images, ids)``; ``batch2`` is ``None``
     on data with 1x1 labels, which takes no CutMix. Each learner
     labels each half with :func:`pseudo_labels`; the halves are mixed with
-    the CutMix masks. Every student trains on its peer's labels, plus its
-    own unless the variant is direct_ml. Both learners' pseudo labels and
-    gradients come from pre-step parameters; afterwards batch prototypes
-    update the banks, from both halves and the ``labeled_batch``
-    ``(images, labels)``, and the teachers take their EMA step.
+    CutMix masks from ``rng_mask``. Every student trains on its peer's
+    labels, plus its own unless the variant is direct_ml. Both learners'
+    pseudo labels and gradients come from pre-step parameters; afterwards
+    each bank kept takes batch prototypes from both halves and the
+    ``labeled_batch`` ``(images, labels)``, and each teacher its EMA step.
     Returns ``(per_student_losses, StepInfo)``.
     """
     batches = [batch1] if batch2 is None else [batch1, batch2]
     x_mix, mask_stack = batch1[0], None
     if batch2 is not None:
         h, w = x_mix.shape[1:3]
-        mask_stack = np.stack([sample_rect_mask(h, w, rngs["mask"]) for _ in range(len(x_mix))])
+        mask_stack = np.stack([sample_rect_mask(h, w, rng_mask) for _ in range(len(x_mix))])
         x_mix = mix_images(x_mix, batch2[0], mask_stack)
 
     # per learner, one (labels, feats, fallback) per half
-    halves = [[pseudo_labels(quad, i, x, ids, stores, cfg, rngs["teacher"][i])
-               for x, ids in batches] for i in range(2)]
+    halves = [[pseudo_labels(learner, x, ids, cfg, learner.rng_teacher) for x, ids in batches]
+              for learner in learners]
     labels = [_mix_halves([y for y, _, _ in hs], mask_stack) for hs in halves]
 
     losses, grads_list, info_terms, info_valid = [], [], [], []
-    for i, student in enumerate(quad.students):
-        xs = photometric(x_mix, cfg.strong_strength, rngs["student"][i])
+    for i, learner in enumerate(learners):
+        xs = photometric(x_mix, cfg.strong_strength, learner.rng_student)
         peer, own = labels[1 - i], labels[i]
         terms = [(peer.labels, peer.valid)]
         if cfg.variant != "direct_ml":
             terms.append((own.labels, own.valid))
-        term_losses, grads = loss_and_gradients(student, xs, terms,
-                                                rng=rngs["student"][i])
+        term_losses, grads = loss_and_gradients(learner.student, xs, terms,
+                                                rng=learner.rng_student)
         total = float(sum(term_losses))
         if not np.isfinite(total):
             raise TrainingError("non-finite unlabeled loss")
@@ -438,24 +444,21 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
         grads_list.append(grads)
         info_terms.append(term_losses)
         info_valid.append(int(sum(t[1].sum() for t in terms)))
-    for student, grads in zip(quad.students, grads_list):
-        sgd_step(student, grads, lr)
+    for learner, grads in zip(learners, grads_list):
+        sgd_step(learner.student, grads, lr)
 
-    if cfg.needs_rectification and cfg.confidence_source == "prototype":
-        lx, ll = labeled_batch
-        for i in range(2):
-            fparts = [f.reshape(-1, f.shape[-1]) for _, f, _ in halves[i]]
-            aparts = [y.labels.ravel() for y, _, _ in halves[i]]
-            lf, _ = teacher_predict(quad.teachers[i], lx, cfg.weak_strength,
-                                    rngs["teacher"][i])
+    lx, ll = labeled_batch
+    for learner, hs in zip(learners, halves):
+        if learner.bank is not None:
+            fparts = [f.reshape(-1, f.shape[-1]) for _, f, _ in hs]
+            aparts = [y.labels.ravel() for y, _, _ in hs]
+            lf, _ = teacher_predict(learner.teacher, lx, cfg.weak_strength, learner.rng_teacher)
             fparts.append(lf.reshape(-1, lf.shape[-1]))
             aparts.append(np.asarray(ll).ravel())
             eta_prime, present = batch_prototypes(np.concatenate(fparts),
                                                   np.concatenate(aparts), k)
-            update_bank(quad.banks[i], eta_prime, present)
-
-    for student, teacher in zip(quad.students, quad.teachers):
-        ema_params(teacher, student, cfg.alpha)
+            update_bank(learner.bank, eta_prime, present)
+        ema_params(learner.teacher, learner.student, cfg.alpha)
     fallback = sum(fb for hs in halves for _, _, fb in hs)
     return losses, StepInfo(info_terms, info_valid, fallback)
 
@@ -465,10 +468,10 @@ def unlabeled_step(quad: ModelQuad, batch1, batch2, stores, cfg: RmlConfig,
 # ---------------------------------------------------------------------------
 
 
-def _measure_pseudo_acc(quad, stores, ds_sub, cfg, rng):
+def _measure_pseudo_acc(learners, ds_sub, cfg, rng):
     """Pseudo-label accuracy of each learner on a held-out unlabeled subset."""
-    labels = [pseudo_labels(quad, i, ds_sub.images, ds_sub.ids, stores, cfg, rng)[0]
-              for i in range(2)]
+    labels = [pseudo_labels(learner, ds_sub.images, ds_sub.ids, cfg, rng)[0]
+              for learner in learners]
     return [pseudo_accuracy(y.labels, ds_sub.labels, y.valid) for y in labels]
 
 
@@ -492,11 +495,13 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
             k: int, baselines=None, out_dir=None) -> RunResult:
     """Full stage-wise run; emits one metrics record per eval interval.
 
-    ``baselines``: optional pretrained model (or pair) to reuse. The
-    supervised variant runs zero stages: its records are the baseline's, and
-    its one model is ``baseline.ckpt``. Metrics are appended to
-    ``out_dir/metrics.jsonl`` as they are produced, so partial output
-    survives a failure; checkpoints are written at stage boundaries.
+    ``baselines``: an optional pretrained pair to start from, one shared
+    model given twice or one per learner; without it the run trains its own
+    (see ``_start_models``). The supervised variant runs zero stages: its
+    records are the baseline's, and its one model is ``baseline.ckpt``.
+    Metrics are appended to ``out_dir/metrics.jsonl`` as they are produced,
+    so partial output survives a failure; checkpoints are written at stage
+    boundaries.
     """
     cfg.validate()
     stages = 0 if cfg.variant == "supervised" else cfg.stages
@@ -528,14 +533,12 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
 
     try:
         if baselines is None:
-            baselines = _start_models(labeled, cfg, k, emit_baseline)
+            baselines = _start_models(labeled, cfg, k, None if stages else emit_baseline)
 
-        streams = np.random.SeedSequence([cfg.seed, 0x51A6E]).spawn(8)
-        rng_data = np.random.default_rng(streams[0])
-        rng_mask = np.random.default_rng(streams[1])
-        rngs_student = [np.random.default_rng(s) for s in streams[2:4]]
-        rngs_teacher = [np.random.default_rng(s) for s in streams[4:6]]
-        rngs_labeled = [np.random.default_rng(s) for s in streams[6:8]]
+        rng_data, rng_mask, *streams = [np.random.default_rng(s) for s in
+                                        np.random.SeedSequence([cfg.seed, 0x51A6E]).spawn(8)]
+        # learner i's labeled, student and teacher streams, for every stage
+        rngs = [(streams[4 + i], streams[i], streams[2 + i]) for i in range(2)]
         rng_metrics = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x3E7A1]))
 
         n_halves = 1 if unlabeled.labels.shape[1:] == (1, 1) else 2   # CutMix needs pixel labels
@@ -549,32 +552,30 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                          "initial_pseudo_acc": None}
         quad = None
         for stage in range(1, stages + 1):
-            quad, stores = init_stage(baselines, labeled, unlabeled, cfg, k, stage=stage)
-            if stage == 1 and stores[0] is not None and pseudo_sub is not None:
-                init_hard = harden_with_threshold(
-                    stores[0].get_batch(pseudo_sub.ids), cfg.tau)
+            learners = init_stage(baselines, labeled, unlabeled, cfg, k, stage, rngs)
+            quad = ModelQuad([learner.student for learner in learners],
+                             [learner.teacher for learner in learners])
+            if stage == 1 and learners[0].store is not None and pseudo_sub is not None:
+                init_hard = harden_with_threshold(learners[0].store.get_batch(pseudo_sub.ids),
+                                                  cfg.tau)
                 summary["initial_pseudo_acc"] = pseudo_accuracy(
                     init_hard.labels, pseudo_sub.labels, init_hard.valid)
             for it in range(cfg.iterations):
                 lr = poly_lr(cfg.lr, it, cfg.iterations, cfg.lr_power)
                 li = _sample(rng_data, len(labeled), cfg.batch_labeled)
                 lab_imgs, lab_labels = labeled.images[li], labeled.labels[li]
-                losses_l = labeled_step(quad, lab_imgs, lab_labels, cfg, lr, rngs_labeled)
+                losses_l = labeled_step(learners, lab_imgs, lab_labels, cfg, lr)
                 losses_u = None
                 if len(unlabeled) > 0:
                     ui = _sample(rng_data, len(unlabeled), n_halves * cfg.batch_unlabeled)
                     parts = [(unlabeled.images[j], unlabeled.ids[j])
                              for j in np.split(ui, n_halves)]
                     losses_u, _ = unlabeled_step(
-                        quad, parts[0], parts[1] if n_halves == 2 else None, stores, cfg, lr, k,
-                        {"mask": rng_mask, "student": rngs_student,
-                         "teacher": rngs_teacher},
-                        labeled_batch=(lab_imgs, lab_labels))
+                        learners, parts[0], parts[1] if n_halves == 2 else None, cfg, lr, k,
+                        rng_mask, labeled_batch=(lab_imgs, lab_labels))
                 if (it + 1) % cfg.eval_interval == 0:
-                    miou_s, acc_s, tv_s = _pair_tv(quad.students, eval_set, k,
-                                                   cfg.eval_subset)
-                    miou_t, acc_t, tv_t = _pair_tv(quad.teachers, eval_set, k,
-                                                   cfg.eval_subset)
+                    miou_s, acc_s, tv_s = _pair_tv(quad.students, eval_set, k, cfg.eval_subset)
+                    miou_t, acc_t, tv_t = _pair_tv(quad.teachers, eval_set, k, cfg.eval_subset)
                     emit(MetricsRecord(
                         iteration=(stage - 1) * cfg.iterations + it + 1, stage=stage,
                         lr=lr, loss_labeled=losses_l, loss_unlabeled=losses_u,
@@ -582,8 +583,7 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                         miou_teachers=miou_t, acc_teachers=acc_t,
                         tv_teachers=tv_t, tv_students=tv_s,
                         pseudo_acc=(None if pseudo_sub is None else
-                                    _measure_pseudo_acc(quad, stores, pseudo_sub,
-                                                        cfg, rng_metrics)),
+                                    _measure_pseudo_acc(learners, pseudo_sub, cfg, rng_metrics)),
                     ))
             last = records[-1]
             summary["stages"].append({
@@ -594,10 +594,10 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                 "pseudo_acc": last.pseudo_acc,
                 "tv_teachers": last.tv_teachers,
             })
-            for i in range(2):
-                extra = bank_tensors(quad.banks[i]) if quad.banks[i] is not None else None
-                save(f"stage{stage}_student{i + 1}", quad.students[i], extra)
-                save(f"stage{stage}_teacher{i + 1}", quad.teachers[i], extra)
+            for i, learner in enumerate(learners, 1):
+                extra = None if learner.bank is None else bank_tensors(learner.bank)
+                save(f"stage{stage}_student{i}", learner.student, extra)
+                save(f"stage{stage}_teacher{i}", learner.teacher, extra)
             baselines = tuple(quad.teachers)
         if stages:
             summary.update(final_miou=float(np.mean(last.miou_teachers)),
@@ -606,9 +606,8 @@ def run_rml(labeled: Dataset, unlabeled: Dataset, eval_set: Dataset, cfg: RmlCon
                            final_pseudo_acc=last.pseudo_acc,
                            final_tv_teachers=last.tv_teachers)
         else:
-            model = baselines if isinstance(baselines, NetModel) else baselines[0]
-            save("baseline", model, None)
-            miou, acc = evaluate_model(model, eval_set, k, cfg.eval_subset)
+            save("baseline", baselines[0], None)
+            miou, acc = evaluate_model(baselines[0], eval_set, k, cfg.eval_subset)
             summary.update(final_miou=miou, final_acc=acc, final_miou_students=[miou],
                            final_pseudo_acc=None)
         if out_path is not None:

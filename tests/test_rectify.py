@@ -15,7 +15,7 @@ from rml_lab.rectify import (
     rectified_labels,
     teacher_predict,
 )
-from rml_lab.trainer import ModelQuad, RmlConfig, _mix_halves, pseudo_labels
+from rml_lab.trainer import Learner, RmlConfig, _mix_halves, pseudo_labels
 
 from oracles import float64_copy
 
@@ -212,9 +212,9 @@ def mix_rectified(teacher, bank, store, x1, x2, ids1, ids2, m, seed=0):
     """Rectify both halves as learner 0 of an rml pair, then mix them.
 
     Returns the mixed labels and each half's ``(labels, feats, fallback)``."""
-    quad = ModelQuad([None, None], [teacher, teacher], [bank, bank])
+    learner = Learner(None, teacher, bank, store, None, None, None)
     rng = np.random.default_rng(seed)
-    halves = [pseudo_labels(quad, 0, x, ids, (store, store), RmlConfig(weak_strength=WEAK), rng)
+    halves = [pseudo_labels(learner, x, ids, RmlConfig(weak_strength=WEAK), rng)
               for x, ids in ((x1, ids1), (x2, ids2))]
     return _mix_halves([y for y, _, _ in halves], m), halves
 

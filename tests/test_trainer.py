@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import typing
 
@@ -14,7 +15,6 @@ from rml_lab.netcore import load_checkpoint, softmax
 from rml_lab.protobank import init_bank
 from rml_lab.rectify import harden_with_threshold
 from rml_lab.trainer import (
-    ModelQuad,
     RmlConfig,
     evaluate_model,
     init_stage,
@@ -53,27 +53,22 @@ def shapes_data():
     return train.subset(split.labeled), train.subset(split.unlabeled), ev
 
 
-def clone_quad(quad: ModelQuad) -> ModelQuad:
-    return ModelQuad(
-        [s.clone() for s in quad.students],
-        [t.clone() for t in quad.teachers],
-        [None if b is None else b.copy() for b in quad.banks],
-    )
+def learner_streams(seed=5) -> list:
+    """Per learner, its labeled, student and teacher streams."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
+    return [rngs[:3], rngs[3:]]
 
 
-def float64_quad(quad: ModelQuad) -> ModelQuad:
-    """The quad with float64 copies of its models, for the float64 loss oracles."""
-    return ModelQuad([float64_copy(s) for s in quad.students],
-                     [float64_copy(t) for t in quad.teachers], quad.banks)
+def start(base, labeled, unlabeled, cfg, seed=5) -> list:
+    """The stage-1 learners of one shared baseline."""
+    return init_stage((base, base), labeled, unlabeled, cfg, K, 1, learner_streams(seed))
 
 
-def make_rngs(seed=5):
-    ss = np.random.SeedSequence(seed).spawn(5)
-    return {
-        "mask": np.random.default_rng(ss[0]),
-        "student": [np.random.default_rng(ss[1]), np.random.default_rng(ss[2])],
-        "teacher": [np.random.default_rng(ss[3]), np.random.default_rng(ss[4])],
-    }
+def float64_learners(learners) -> list:
+    """The learners with float64 copies of their models, for the float64 loss
+    oracles."""
+    return [dataclasses.replace(learner, student=float64_copy(learner.student),
+                                teacher=float64_copy(learner.teacher)) for learner in learners]
 
 
 # ---------------------------------------------------------------------------
@@ -128,33 +123,88 @@ def test_init_stage_contracts(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg()
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
-    for model in quad.students + quad.teachers:
-        for key in base.params:
-            np.testing.assert_array_equal(model.params[key], base.params[key])
-    assert quad.teachers[0].mode == "eval" and quad.students[0].mode == "train"
+    learners = start(base, labeled, unlabeled, cfg)
+    for learner in learners:
+        for model in (learner.student, learner.teacher):
+            for key in base.params:
+                np.testing.assert_array_equal(model.params[key], base.params[key])
+    assert learners[0].teacher.mode == "eval" and learners[0].student.mode == "train"
     # store covers every unlabeled id exactly once, with the baseline's labels
-    assert len(stores[0].rows) == len(unlabeled) and stores[1] is stores[0]
-    np.testing.assert_array_equal(stores[0].get_batch(unlabeled.ids),
+    store = learners[0].store
+    assert len(store.rows) == len(unlabeled) and learners[1].store is store
+    np.testing.assert_array_equal(store.get_batch(unlabeled.ids),
                                   soft_predictions(base, unlabeled.images))
     # banks identical bitwise at init, equal to the baseline's own, not shared
     fresh = init_bank(base, labeled, unlabeled, k=K, lam=cfg.lam)
-    for bank in quad.banks:
+    banks = [learner.bank for learner in learners]
+    for bank in banks:
         np.testing.assert_array_equal(bank.eta, fresh.eta)
         np.testing.assert_array_equal(bank.seen, fresh.seen)
-    assert quad.banks[0] is not quad.banks[1]
+    assert banks[0] is not banks[1]
     for name in ("eta", "pi", "seen"):
-        assert not np.shares_memory(getattr(quad.banks[0], name),
-                                    getattr(quad.banks[1], name))
+        assert not np.shares_memory(getattr(banks[0], name), getattr(banks[1], name))
 
 
 def test_init_stage_skips_banks_for_iml(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg(variant="iml")
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
-    assert quad.banks == [None, None]
-    assert stores == (None, None)
+    learners = start(base, labeled, unlabeled, cfg)
+    assert [(learner.bank, learner.store) for learner in learners] == [(None, None)] * 2
+
+
+def test_init_stage_from_two_models(shapes_data):
+    labeled, unlabeled, _ = shapes_data
+    cfg = tiny_cfg(baseline_iterations=20)
+    bases = tuple(train_baseline(labeled, cfg, k=K, seed=seed) for seed in (0, 1))
+    p = [soft_predictions(b, unlabeled.images).astype(np.float64) for b in bases]
+    assert not np.array_equal(p[0], p[1])
+    rngs = learner_streams()
+    first, second = (init_stage(bases, labeled, unlabeled, cfg, K, stage, rngs)
+                     for stage in (1, 2))
+    # stage 1: each learner stores its own baseline's predictions
+    for learner, own in zip(first, p):
+        np.testing.assert_array_equal(learner.store.get_batch(unlabeled.ids), own)
+    assert first[0].store is not first[1].store
+    # later stages: one store of the pair's average, shared
+    assert second[0].store is second[1].store
+    np.testing.assert_array_equal(second[0].store.get_batch(unlabeled.ids),
+                                  (p[0] + p[1]) * 0.5)
+    for learners in (first, second):
+        for learner, base, streams in zip(learners, bases, rngs):
+            fresh = init_bank(base, labeled, unlabeled, k=K, lam=cfg.lam)
+            for name in ("eta", "pi", "seen"):
+                np.testing.assert_array_equal(getattr(learner.bank, name),
+                                              getattr(fresh, name))
+            held = (learner.rng_labeled, learner.rng_student, learner.rng_teacher)
+            assert all(a is b for a, b in zip(held, streams, strict=True))
+
+
+def test_run_rml_hands_every_stage_the_same_streams(shapes_data, monkeypatch):
+    # a stage that reseeded its learners' streams would change every output
+    labeled, unlabeled, ev = shapes_data
+    given, states = [], []
+
+    def recorded(*args):
+        rngs = args[-1]
+        given.append(rngs)
+        states.append([[rng.bit_generator.state for rng in per] for per in rngs])
+        return init_stage(*args)
+
+    monkeypatch.setattr(trainer, "init_stage", recorded)
+    cfg = tiny_cfg(variant="iml", stages=2, iterations=10, eval_interval=10,
+                   baseline_iterations=5)
+    run_rml(labeled, unlabeled, ev, cfg, k=K)
+    first, second = ([rng for per in rngs for rng in per] for rngs in given)
+    assert len({id(rng) for rng in first}) == 6
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    # learner i's labeled, student and teacher streams are children 6+i, 2+i
+    # and 4+i of the run's seed sequence; stage 2 takes them where stage 1
+    # left them
+    children = np.random.SeedSequence([cfg.seed, 0x51A6E]).spawn(8)
+    assert states[0] == [[np.random.default_rng(children[j]).bit_generator.state
+                          for j in (6 + i, 2 + i, 4 + i)] for i in range(2)]
+    assert all(a != b for a, b in zip(states[0], states[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +216,12 @@ def test_labeled_step_loss_matches_direct_ce(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg(**NO_MODEL_NOISE, weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
-    quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
-    quad = float64_quad(quad)
-    frozen = clone_quad(quad)
+    learners = float64_learners(start(base, labeled, unlabeled, cfg))
+    frozen = copy.deepcopy(learners)
     x, y = labeled.images[:4], labeled.labels[:4]
-    losses = labeled_step(quad, x, y, cfg, lr=0.05,
-                          rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+    losses = labeled_step(learners, x, y, cfg, lr=0.05)
     for i in range(2):
-        p = softmax(frozen.students[i].eval().forward(x.astype(np.float64))[1])
+        p = softmax(frozen[i].student.eval().forward(x.astype(np.float64))[1])
         expected = cross_entropy(p, np.eye(K)[y])
         assert losses[i] == pytest.approx(expected, rel=1e-9)
 
@@ -182,28 +230,26 @@ def test_labeled_step_zero_lr_keeps_parameters(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg()
     base = train_baseline(labeled, cfg, k=K)
-    quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
-    before = [{k2: v.copy() for k2, v in s.params.items()} for s in quad.students]
-    losses = labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg,
-                          lr=0.0,
-                          rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+    learners = start(base, labeled, unlabeled, cfg)
+    before = [{k2: v.copy() for k2, v in learner.student.params.items()}
+              for learner in learners]
+    losses = labeled_step(learners, labeled.images[:4], labeled.labels[:4], cfg, lr=0.0)
     assert all(np.isfinite(l) for l in losses)
-    for i, s in enumerate(quad.students):
-        for key in s.params:
-            np.testing.assert_array_equal(s.params[key], before[i][key])
+    for i, learner in enumerate(learners):
+        for key in learner.student.params:
+            np.testing.assert_array_equal(learner.student.params[key], before[i][key])
 
 
 def test_labeled_step_overfits_one_batch(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg(**NO_MODEL_NOISE, weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
-    quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    learners = start(base, labeled, unlabeled, cfg)
     x, y = labeled.images[:4], labeled.labels[:4]
-    first = labeled_step(quad, x, y, cfg, lr=0.05, rngs=rngs)
+    first = labeled_step(learners, x, y, cfg, lr=0.05)
     last = None
     for _ in range(49):
-        last = labeled_step(quad, x, y, cfg, lr=0.05, rngs=rngs)
+        last = labeled_step(learners, x, y, cfg, lr=0.05)
     assert last[0] < first[0] and last[1] < first[1]
 
 
@@ -211,19 +257,19 @@ def test_labeled_step_leaves_teachers_alone(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg()
     base = train_baseline(labeled, cfg, k=K)
-    quad, _ = init_stage(base, labeled, unlabeled, cfg, k=K)
-    before = [{k2: v.copy() for k2, v in t.params.items()} for t in quad.teachers]
-    labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1,
-                 rngs=[np.random.default_rng(0), np.random.default_rng(1)])
-    for i, t in enumerate(quad.teachers):
-        for key in t.params:
-            np.testing.assert_array_equal(t.params[key], before[i][key])
+    learners = start(base, labeled, unlabeled, cfg)
+    before = [{k2: v.copy() for k2, v in learner.teacher.params.items()}
+              for learner in learners]
+    labeled_step(learners, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1)
+    for i, learner in enumerate(learners):
+        for key in learner.teacher.params:
+            np.testing.assert_array_equal(learner.teacher.params[key], before[i][key])
 
 
 def test_non_finite_supervised_loss_names_its_step(shapes_data, monkeypatch):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg(baseline_iterations=5)
-    quad, _ = init_stage(train_baseline(labeled, cfg, k=K), labeled, unlabeled, cfg, k=K)
+    learners = start(train_baseline(labeled, cfg, k=K), labeled, unlabeled, cfg)
     real, calls_left = trainer.loss_and_gradients, [3]
 
     def nan_loss_at_call(*args, **kw):
@@ -236,8 +282,7 @@ def test_non_finite_supervised_loss_names_its_step(shapes_data, monkeypatch):
         train_baseline(labeled, cfg, k=K)
     calls_left[0] = 1
     with pytest.raises(TrainingError, match=r"^non-finite labeled loss$"):
-        labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1,
-                     rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+        labeled_step(learners, labeled.images[:4], labeled.labels[:4], cfg, lr=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +305,22 @@ def test_rml_with_uniform_confidence_equals_iml_labels(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg_rml = tiny_cfg(variant="rml", weak_strength=0.0, **NO_MODEL_NOISE)
     base = train_baseline(labeled, cfg_rml, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg_rml, k=K)
-    for bank in quad.banks:
-        bank.eta[:] = bank.eta[0]
-        bank.seen[:] = True
+    learners = start(base, labeled, unlabeled, cfg_rml)
+    for learner in learners:
+        learner.bank.eta[:] = learner.bank.eta[0]
+        learner.bank.seen[:] = True
     b1, b2 = unlabeled_batches(unlabeled)
     masks = np.ones((len(b1[0]),) + unlabeled.images.shape[1:3])
 
-    def mixed(quad, stores, cfg):
+    def mixed(learner, cfg):
         rng = np.random.default_rng(0)
-        halves = [pseudo_labels(quad, 0, x, ids, stores, cfg, rng)[0]
-                  for x, ids in (b1, b2)]
+        halves = [pseudo_labels(learner, x, ids, cfg, rng)[0] for x, ids in (b1, b2)]
         return trainer._mix_halves(halves, masks)
 
     cfg_iml = tiny_cfg(variant="iml", weak_strength=0.0, **NO_MODEL_NOISE)
-    quad_iml, stores_iml = init_stage(base, labeled, unlabeled, cfg_iml, k=K)
-    np.testing.assert_array_equal(mixed(quad, stores, cfg_rml).labels,
-                                  mixed(quad_iml, stores_iml, cfg_iml).labels)
+    learners_iml = start(base, labeled, unlabeled, cfg_iml)
+    np.testing.assert_array_equal(mixed(learners[0], cfg_rml).labels,
+                                  mixed(learners_iml[0], cfg_iml).labels)
 
 
 @pytest.mark.parametrize("variant", ["rml", "iml", "direct_ml"])
@@ -284,40 +328,38 @@ def test_pseudo_acc_scores_the_training_labels(shapes_data, variant):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg(variant=variant, tau=0.4)
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
+    learners = start(base, labeled, unlabeled, cfg)
     # move the students off their teachers, so the two label sources differ
-    labeled_step(quad, labeled.images[:4], labeled.labels[:4], cfg, lr=0.5,
-                 rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+    labeled_step(learners, labeled.images[:4], labeled.labels[:4], cfg, lr=0.5)
     sub = Dataset(unlabeled.images[:8], unlabeled.labels[:8], unlabeled.ids[:8])
-    accs = trainer._measure_pseudo_acc(quad, stores, sub, cfg, np.random.default_rng(4))
+    accs = trainer._measure_pseudo_acc(learners, sub, cfg, np.random.default_rng(4))
     rng = np.random.default_rng(4)
-    for i in range(2):
+    for i, learner in enumerate(learners):
         replay = copy.deepcopy(rng)
-        y, feats, _ = pseudo_labels(quad, i, sub.images, sub.ids, stores, cfg, rng)
+        y, feats, _ = pseudo_labels(learner, sub.images, sub.ids, cfg, rng)
         assert accs[i] == pseudo_accuracy(y.labels, sub.labels, y.valid)
         # the labels come from the variant's model, on weakly augmented input
-        source = quad.students[i] if variant == "direct_ml" else quad.teachers[i]
+        source = learner.student if variant == "direct_ml" else learner.teacher
         xw = photometric(sub.images, cfg.weak_strength, replay)
         np.testing.assert_array_equal(feats, source.clone().eval().forward(xw)[0])
-    assert [s.mode for s in quad.students] == ["train", "train"]
+    assert [learner.student.mode for learner in learners] == ["train", "train"]
 
 
 def test_teacher_update_is_exactly_ema_of_post_step_student(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg()
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
-    teacher_before = [{k2: v.copy() for k2, v in t.params.items()}
-                      for t in quad.teachers]
+    learners = start(base, labeled, unlabeled, cfg)
+    teacher_before = [{k2: v.copy() for k2, v in learner.teacher.params.items()}
+                      for learner in learners]
     b1, b2 = unlabeled_batches(unlabeled)
-    unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs(),
+    unlabeled_step(learners, b1, b2, cfg, lr=0.05, k=K, rng_mask=np.random.default_rng(5),
                    labeled_batch=labeled_batch(labeled))
-    for i in range(2):
-        for key in quad.teachers[i].params:
+    for i, learner in enumerate(learners):
+        for key in learner.teacher.params:
             expected = (cfg.alpha * teacher_before[i][key]
-                        + (1 - cfg.alpha) * quad.students[i].params[key])
-            np.testing.assert_allclose(quad.teachers[i].params[key], expected,
-                                       atol=1e-12)
+                        + (1 - cfg.alpha) * learner.student.params[key])
+            np.testing.assert_allclose(learner.teacher.params[key], expected, atol=1e-12)
 
 
 def test_ema_applied_after_sgd(shapes_data):
@@ -326,14 +368,14 @@ def test_ema_applied_after_sgd(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg(alpha=0.0)
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
+    learners = start(base, labeled, unlabeled, cfg)
     b1, b2 = unlabeled_batches(unlabeled)
-    unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs(),
+    unlabeled_step(learners, b1, b2, cfg, lr=0.05, k=K, rng_mask=np.random.default_rng(5),
                    labeled_batch=labeled_batch(labeled))
-    for i in range(2):
-        for key in quad.teachers[i].params:
-            np.testing.assert_array_equal(quad.teachers[i].params[key],
-                                          quad.students[i].params[key])
+    for learner in learners:
+        for key in learner.teacher.params:
+            np.testing.assert_array_equal(learner.teacher.params[key],
+                                          learner.student.params[key])
 
 
 def test_four_term_loss_oracle(shapes_data):
@@ -343,30 +385,29 @@ def test_four_term_loss_oracle(shapes_data):
     cfg = tiny_cfg(variant="iml", strong_strength=0.0, **NO_MODEL_NOISE,
                    weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
-    quad = float64_quad(quad)
-    frozen = clone_quad(quad)
+    learners = float64_learners(start(base, labeled, unlabeled, cfg))
+    frozen = copy.deepcopy(learners)
     b1, b2 = unlabeled_batches(unlabeled)
-    rngs = make_rngs(seed=7)
-    losses, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=rngs,
+    losses, info = unlabeled_step(learners, b1, b2, cfg, lr=0.05, k=K,
+                                  rng_mask=np.random.default_rng(7),
                                   labeled_batch=labeled_batch(labeled))
 
     # oracle: recompute every term from the frozen pre-step state
-    mask_rng = make_rngs(seed=7)["mask"]
+    mask_rng = np.random.default_rng(7)
     from rml_lab.augment import sample_rect_mask
     h, w = b1[0].shape[1:3]
     mask_stack = np.stack([sample_rect_mask(h, w, mask_rng) for _ in range(len(b1[0]))])
     x_mix = mix_images(b1[0], b2[0], mask_stack)
     yhat = []
     for i in range(2):
-        p1 = softmax(frozen.teachers[i].forward(b1[0].astype(np.float64))[1])
-        p2 = softmax(frozen.teachers[i].forward(b2[0].astype(np.float64))[1])
+        p1 = softmax(frozen[i].teacher.forward(b1[0].astype(np.float64))[1])
+        p2 = softmax(frozen[i].teacher.forward(b2[0].astype(np.float64))[1])
         y1 = np.eye(K)[harden_with_threshold(p1, 0.0).labels]
         y2 = np.eye(K)[harden_with_threshold(p2, 0.0).labels]
         mixed = mask_stack[..., None] * y1 + (1 - mask_stack[..., None]) * y2
         yhat.append(mixed)
     for i in range(2):
-        p_student = softmax(frozen.students[i].eval().forward(x_mix)[1])
+        p_student = softmax(frozen[i].student.eval().forward(x_mix)[1])
         ce_peer = cross_entropy(p_student, yhat[1 - i])
         ce_self = cross_entropy(p_student, yhat[i])
         assert info.loss_terms[i][0] == pytest.approx(ce_peer, rel=1e-9)
@@ -379,27 +420,27 @@ def test_direct_ml_uses_cross_terms_only(shapes_data):
     cfg = tiny_cfg(variant="direct_ml", strong_strength=0.0, **NO_MODEL_NOISE,
                    weak_strength=0.0)
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
-    quad = float64_quad(quad)
-    frozen = clone_quad(quad)
+    learners = float64_learners(start(base, labeled, unlabeled, cfg))
+    frozen = copy.deepcopy(learners)
     b1, b2 = unlabeled_batches(unlabeled)
-    losses, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K,
-                                  rngs=make_rngs(seed=7), labeled_batch=labeled_batch(labeled))
+    losses, info = unlabeled_step(learners, b1, b2, cfg, lr=0.05, k=K,
+                                  rng_mask=np.random.default_rng(7),
+                                  labeled_batch=labeled_batch(labeled))
     assert all(len(t) == 1 for t in info.loss_terms)
     # teachers equal students at init, so the cross term must match the
     # iml peer term computed from the same frozen state
-    mask_rng = make_rngs(seed=7)["mask"]
+    mask_rng = np.random.default_rng(7)
     from rml_lab.augment import sample_rect_mask
     h, w = b1[0].shape[1:3]
     mask_stack = np.stack([sample_rect_mask(h, w, mask_rng) for _ in range(len(b1[0]))])
     x_mix = mix_images(b1[0], b2[0], mask_stack)
     for i in range(2):
         peer = 1 - i
-        p1 = softmax(frozen.students[peer].eval().forward(b1[0].astype(np.float64))[1])
-        p2 = softmax(frozen.students[peer].eval().forward(b2[0].astype(np.float64))[1])
+        p1 = softmax(frozen[peer].student.eval().forward(b1[0].astype(np.float64))[1])
+        p2 = softmax(frozen[peer].student.eval().forward(b2[0].astype(np.float64))[1])
         mixed = (mask_stack[..., None] * np.eye(K)[harden_with_threshold(p1, 0.0).labels]
                  + (1 - mask_stack[..., None]) * np.eye(K)[harden_with_threshold(p2, 0.0).labels])
-        p_student = softmax(frozen.students[i].eval().forward(x_mix)[1])
+        p_student = softmax(frozen[i].student.eval().forward(x_mix)[1])
         assert losses[i] == pytest.approx(cross_entropy(p_student, mixed), rel=1e-9)
 
 
@@ -410,10 +451,11 @@ def test_threshold_monotone_valid_pixels(shapes_data):
     counts = []
     for tau in (0.0, 0.3, 0.6, 0.9):
         cfg = tiny_cfg(tau=tau)
-        quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
+        learners = start(base, labeled, unlabeled, cfg, seed=3)
         b1, b2 = unlabeled_batches(unlabeled)
-        _, info = unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K,
-                                 rngs=make_rngs(seed=3), labeled_batch=labeled_batch(labeled))
+        _, info = unlabeled_step(learners, b1, b2, cfg, lr=0.05, k=K,
+                                 rng_mask=np.random.default_rng(3),
+                                 labeled_batch=labeled_batch(labeled))
         counts.append(sum(info.valid_pixels))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -422,12 +464,12 @@ def test_bank_update_happens_in_unlabeled_step(shapes_data):
     labeled, unlabeled, _ = shapes_data
     cfg = tiny_cfg()
     base = train_baseline(labeled, cfg, k=K)
-    quad, stores = init_stage(base, labeled, unlabeled, cfg, k=K)
-    eta_before = quad.banks[0].eta.copy()
+    learners = start(base, labeled, unlabeled, cfg)
+    eta_before = learners[0].bank.eta.copy()
     b1, b2 = unlabeled_batches(unlabeled)
-    unlabeled_step(quad, b1, b2, stores, cfg, lr=0.05, k=K, rngs=make_rngs(),
+    unlabeled_step(learners, b1, b2, cfg, lr=0.05, k=K, rng_mask=np.random.default_rng(5),
                    labeled_batch=labeled_batch(labeled))
-    assert not np.array_equal(quad.banks[0].eta, eta_before)
+    assert not np.array_equal(learners[0].bank.eta, eta_before)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +490,30 @@ def test_run_rml_bookkeeping_and_determinism(shapes_data, tmp_path):
     assert [r.to_dict() for r in res1.records] == [r.to_dict() for r in res2.records]
     assert ((tmp_path / "a" / "metrics.jsonl").read_bytes()
             == (tmp_path / "b" / "metrics.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("arch_pair", [("cnn", "cnn"), ("attn", "mlp")],
+                         ids=["cnn-cnn", "attn-mlp"])
+def test_given_baselines_write_the_bytes_of_a_run_that_trains_its_own(shapes_data, tmp_path,
+                                                                     arch_pair):
+    # the benchmark trains the baselines itself, then passes them in
+    labeled, unlabeled, ev = shapes_data
+    cfg = tiny_cfg(arch_pair=arch_pair, stages=2, iterations=15, eval_interval=15,
+                   baseline_iterations=20)
+    if arch_pair[0] == arch_pair[1]:
+        base = train_baseline(labeled, cfg, k=K)
+        bases = (base, base)
+    else:
+        bases = tuple(train_baseline(labeled, cfg, K, arch_index=i, seed=cfg.seed + i)
+                      for i in range(2))
+    run_rml(labeled, unlabeled, ev, cfg, k=K, out_dir=tmp_path / "own")
+    run_rml(labeled, unlabeled, ev, cfg, k=K, baselines=bases, out_dir=tmp_path / "given")
+    names = sorted(path.name for path in (tmp_path / "own").iterdir())
+    assert len(names) == 10   # metrics, summary and 8 stage checkpoints
+    assert names == sorted(path.name for path in (tmp_path / "given").iterdir())
+    for name in names:
+        assert ((tmp_path / "own" / name).read_bytes()
+                == (tmp_path / "given" / name).read_bytes()), name
 
 
 def test_eval_interval_predicts_each_model_once(shapes_data, monkeypatch):
