@@ -36,10 +36,10 @@ from .data import (
     save_dataset,
     save_split,
 )
-from .errors import ConfigError, FormatError, RmlError, StateError
+from .errors import ConfigError, FormatError, InputError, RmlError, StateError
 from .metrics import segmentation_scores
 from .netcore import load_checkpoint
-from .trainer import RmlConfig, check_seed, run_rml, soft_predictions
+from .trainer import RmlConfig, check_seed, eval_confusion, run_rml
 
 EXIT_CODES = {"config": 2, "input": 2, "format": 3, "state": 4, "training": 5,
               "internal": 1}
@@ -206,11 +206,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score a checkpoint on one split by in-run evaluation's chunk path,
+    :func:`trainer.eval_confusion`; a K not the dataset's is an input error."""
     model, _ = load_checkpoint(args.checkpoint)
     train, ev, meta = load_dataset(args.data)
+    k = meta["num_classes"]
+    if model.num_classes != k:
+        raise InputError(f"checkpoint {args.checkpoint} has K={model.num_classes} classes, "
+                         f"but the dataset has {k}")
     ds = ev if args.split == "eval" else train
-    preds = soft_predictions(model, ds.images).argmax(axis=-1)
-    _, iou, miou, acc = segmentation_scores(preds, ds.labels, meta["num_classes"])
+    iou, miou, acc = segmentation_scores(eval_confusion(model, ds, k))
     print(json.dumps({"miou": miou, "pixel_acc": acc,
                       "iou": [None if np.isnan(v) else float(v) for v in iou]},
                      indent=2, sort_keys=True))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .netcore import class_sum
 
 
 def _check_prob(p: np.ndarray, name: str) -> np.ndarray:
@@ -15,13 +16,17 @@ def _check_prob(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Mean per-pixel total variation distance ``0.5 * sum_k |p_k - q_k|``."""
-    p = _check_prob(p, "p")
-    q = _check_prob(q, "q")
+def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-pixel TV distance ``0.5 * sum_k |p_k - q_k|`` in float64, of rows it does not check."""
     if p.shape != q.shape:
         raise InputError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return float(0.5 * np.abs(np.subtract(p, q, dtype=np.float64)).sum(axis=-1).mean())
+    d = np.subtract(p, q, dtype=np.float64)
+    return 0.5 * class_sum(np.abs(d, out=d))[..., 0]
+
+
+def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Mean per-pixel total variation distance: the mean of :func:`tv_rows`."""
+    return float(tv_rows(_check_prob(p, "p"), _check_prob(q, "q")).mean())
 
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, k: int) -> np.ndarray:
@@ -35,13 +40,13 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(k * gt + pred, minlength=k * k).reshape(k, k)
 
 
-def segmentation_scores(pred: np.ndarray, gt: np.ndarray, k: int):
-    """Confusion, per-class IoU, mIoU and pixel accuracy.
+def segmentation_scores(conf: np.ndarray):
+    """Per-class IoU, mIoU and pixel accuracy of a ``[gt, pred]`` confusion
+    matrix, such as a sum of per-chunk ones.
 
     Classes absent from both prediction and ground truth get IoU ``nan``
     and are excluded from the mean.
     """
-    conf = confusion_matrix(pred, gt, k)
     tp = np.diag(conf).astype(np.float64)
     fp = conf.sum(axis=0) - tp
     fn = conf.sum(axis=1) - tp
@@ -49,7 +54,7 @@ def segmentation_scores(pred: np.ndarray, gt: np.ndarray, k: int):
     iou = np.where(denom > 0, tp / np.where(denom > 0, denom, 1.0), np.nan)
     miou = float(np.nanmean(iou)) if np.any(denom > 0) else float("nan")
     pixel_acc = float(tp.sum() / conf.sum()) if conf.sum() else float("nan")
-    return conf, iou, miou, pixel_acc
+    return iou, miou, pixel_acc
 
 
 def pseudo_accuracy(labels: np.ndarray, gt: np.ndarray, valid: np.ndarray):

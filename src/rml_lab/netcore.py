@@ -33,25 +33,25 @@ its logit gradient is ``p`` with 1 taken off at the label. Those are the
 bits of the one-hot formulas ``-sum_k y_k log p_k`` and ``p - y``.
 
 Eval-mode forwards run over chunks of whole images, about
-``EVAL_CHUNK_PIXELS`` pixels each, and concatenate the results. A large
-eval batch then never builds one big im2col patch matrix (75 MB per conv
-layer at 256 images of 16x16 with 16 channels) that must be faulted in on
-every call; each chunk's working set stays cache-sized. BLAS sums small
-matrices in another order, so a row's result can depend on how many rows
-its matmul has. No chunk is therefore smaller than the chunk size unless
-the whole batch is, and the chunked forward is bitwise equal to a forward
-over the whole batch for every architecture (see tests/test_netcore.py).
-``NetModel.forward`` is this eval forward only. The one train-mode forward
-is the one :func:`loss_and_gradients` makes; it is not chunked, so its
-random draws are unchanged.
+``EVAL_CHUNK_PIXELS`` pixels each, so a large batch never builds one big
+im2col patch matrix (75 MB per conv layer at 256 images of 16x16 with 16
+channels) that must be faulted in on every call. BLAS sums small matrices
+in another order, so a row's result can depend on how many rows its
+matmul has; no chunk is therefore smaller than the chunk size unless the
+whole batch is, and each chunk's output is bitwise that of a forward over
+the whole batch (see tests/test_netcore.py). :func:`eval_chunks`, the one
+chunk runner, hands each chunk's outputs of one or more models to a
+consumer's function, so consumers reduce inside the chunks (confusion
+counts, TV rows) and build no ``(N, H, W, K)`` array; ``NetModel.forward``
+concatenates them. The one train-mode forward, that of
+:func:`loss_and_gradients`, is not chunked, so its random draws are unchanged.
 
-The chunks of one eval forward run on the process's CPUs: the caller and
-up to one worker per other usable CPU take the next chunk until none is
-left, and the results are concatenated in chunk order. No chunk's bits
-depend on which thread ran it or when, and eval mode draws nothing, so
-the result is the same at any worker count. A single-chunk forward, such
-as a teacher's prediction for a training step's batch of 4, runs on the
-caller alone. The workers share one thread pool, made on first use. Before its first worker starts, glibc
+The caller and up to one worker per other usable CPU each take the next
+chunk until none is left. No chunk's bits depend on which thread ran it,
+and eval mode draws nothing, so the result is the same at any worker
+count; a single-chunk pass, such as a teacher's prediction for a training
+step's batch of 4, runs on the caller alone. The workers share one thread
+pool, made on first use. Before its first worker starts, glibc
 is told to keep one malloc arena: a worker's own arena raised
 ``peak_rss_mb`` by 5-8% with one worker and by 12-17% with two, and one
 arena removed that. The heap's mmap and trim thresholds are fixed then
@@ -85,6 +85,7 @@ term's gradient work in place in a buffer the step already made.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -175,7 +176,7 @@ class NetModel:
         )
 
     def forward(self, x: np.ndarray):
-        """The eval-mode forward; returns ``(features, logits)``.
+        """The eval-mode forward; returns ``(features, logits)``, concatenated over its chunks.
 
         Pure: it draws no noise, and the batch runs in chunks of whole
         images, on the caller and the process's spare CPUs, with the same
@@ -183,29 +184,24 @@ class NetModel:
         train mode is a StateError; every training forward is the one
         :func:`loss_and_gradients` makes.
         """
-        outs = self._eval_chunks(x, slice(2))
-        if len(outs) == 1:
-            return outs[0]
-        feats, logits = zip(*outs)
-        return np.concatenate(feats), np.concatenate(logits)
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        """``forward(x)[1]``, bit for bit, keeping no features beyond a chunk."""
-        outs = self._eval_chunks(x, 1)
-        return outs[0] if len(outs) == 1 else np.concatenate(outs)
-
-    def _eval_chunks(self, x: np.ndarray, part) -> list:
-        if self.mode != "eval":
-            raise StateError("forward needs a model in eval mode")
-        x = _check_input(self, x)
-        n, h, w, _ = x.shape
-        step = max(1, EVAL_CHUNK_PIXELS // (h * w))
-        # the last chunk takes the remainder, so no chunk is smaller than step
-        bounds = [i * step for i in range(max(1, n // step))] + [n]
-        return _run_chunks(self, x, bounds, part)
+        outs = eval_chunks((self,), x, lambda rows, out: out, feats=True)
+        return outs[0] if len(outs) == 1 else tuple(np.concatenate(a) for a in zip(*outs))
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
+
+
+@contextlib.contextmanager
+def eval_mode(*models):
+    """Every model in eval mode inside the block, and in its own mode again after it."""
+    was = [m.mode for m in models]
+    for m in models:
+        m.eval()
+    try:
+        yield
+    finally:
+        for m, mode in zip(models, was):
+            m.mode = mode
 
 
 def _spare_cpus() -> int:
@@ -259,15 +255,22 @@ def release_heap() -> None:
         _malloc_trim(0)
 
 
-def _run_chunks(m: NetModel, x: np.ndarray, bounds: list[int], part) -> list:
-    """``_forward(...)[part]`` in eval mode of each chunk ``x[bounds[i]:bounds[i+1]]``,
-    in chunk order; the caller and the spare CPUs' workers each take the next
-    chunk until none is left. An error leaves the chunks not yet taken undone
-    and is raised once every thread has stopped: the caller's own, else the
-    first worker's in submission order."""
-    count = len(bounds) - 1
-    outs: list = [None] * count
-    todo = deque(range(count))
+def eval_chunks(models, x: np.ndarray, fn, feats: bool = False) -> list:
+    """``fn(rows, *outs)`` of each eval chunk ``x[rows]`` of whole images, in chunk
+    order; ``outs`` holds each eval-mode model's logits of the chunk, or its
+    ``(features, logits)`` with ``feats``. The caller and the spare CPUs' workers
+    each take the next chunk until none is left. An error, in a forward or in
+    ``fn``, leaves the chunks not yet taken undone and is raised once every
+    thread has stopped: the caller's own, else the first worker's in submission order."""
+    if any(m.mode != "eval" for m in models):
+        raise StateError("forward needs a model in eval mode")
+    xs = [_check_input(m, x) for m in models]
+    n, h, w, _ = xs[0].shape
+    step = max(1, EVAL_CHUNK_PIXELS // (h * w))
+    # the last chunk takes the remainder, so no chunk is smaller than step
+    bounds = [i * step for i in range(max(1, n // step))] + [n]
+    todo = deque(range(len(bounds) - 1))
+    outs: list = [None] * len(todo)
 
     def drain():
         try:
@@ -276,12 +279,15 @@ def _run_chunks(m: NetModel, x: np.ndarray, bounds: list[int], part) -> list:
                     i = todo.popleft()
                 except IndexError:
                     return
-                outs[i] = _forward(m, x[bounds[i]:bounds[i + 1]], None, want_cache=False)[part]
+                rows = slice(bounds[i], bounds[i + 1])
+                fwd = [_forward(m, xm[rows], None, want_cache=False, want_feats=feats)
+                       for m, xm in zip(models, xs)]
+                outs[i] = fn(rows, *(f[:2] if feats else f[1] for f in fwd))
         except BaseException:
             todo.clear()
             raise
 
-    workers = min(_spare_cpus(), count - 1)
+    workers = min(_spare_cpus(), len(outs) - 1)
     jobs = [_eval_pool().submit(drain) for _ in range(workers)]
     try:
         drain()
@@ -474,7 +480,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return np.subtract(zs, np.log(class_sum(np.exp(zs))), out=zs)
 
 
-def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
+def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool, want_feats: bool = True):
+    """``(features, logits, cache)``; the features are None without ``want_feats``."""
     x = _check_input(m, x)
     p = m.params
     cache: dict = {"x": x}
@@ -525,7 +532,8 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
         scale = float(1.0 / np.sqrt(m.feature_dim))  # a numpy f64 scalar would promote
         scores = np.matmul(q, k.transpose(0, 2, 1))
         scores *= scale
-        attn = _softmax_last(scores, scores.max(axis=-1, keepdims=True))
+        # fmax is faster than max, and a NaN score that only max returns NaNs the row anyway
+        attn = _softmax_last(scores, np.fmax.reduce(scores, axis=-1, keepdims=True))
         ctx = np.matmul(attn, v)
         out = ctx @ p["out_w"]
         out += p["out_b"]
@@ -534,15 +542,15 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
         fdrop_tok, dmask = _dropout(m, z, rng)
         logits_tok = fdrop_tok @ p["head_w"]
         logits_tok += p["head_b"]
-        # every pixel inherits its patch token: one copy of a broadcast view
-        feats, logits = (np.broadcast_to(a.reshape(n, th, 1, tw, 1, -1),
-                                         (n, th, pp, tw, pp, a.shape[-1])).reshape(n, h, w, -1)
-                         for a in (z, logits_tok))
+        def up(a):   # every pixel inherits its patch token: one copy of a broadcast view
+            return np.broadcast_to(a.reshape(n, th, 1, tw, 1, -1),
+                                   (n, th, pp, tw, pp, a.shape[-1])).reshape(n, h, w, -1)
+        feats, logits = (up(z) if want_feats else None), up(logits_tok)
         if want_cache:
             cache.update(tokens=tokens, emb=emb, q=q, k=k, v=v, scale=scale,
                          attn=attn, ctx=ctx, gate=gate, z=z, fdrop=fdrop_tok,
                          dmask=dmask, tshape=(th, tw))
-    return feats, logits, cache if want_cache else None
+    return (feats if want_feats else None), logits, (cache if want_cache else None)
 
 
 def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:

@@ -33,13 +33,15 @@ import numpy as np
 from .augment import mix_images, mix_label_maps, photometric, sample_rect_mask
 from .data import Dataset
 from .errors import ConfigError, TrainingError
-from .metrics import pseudo_accuracy, segmentation_scores, tv_distance
+from .metrics import confusion_matrix, pseudo_accuracy, segmentation_scores, tv_rows
 from .netcore import (
     ARCH_KINDS,
     NetModel,
     NoiseConfig,
     build_model,
     ema_params,
+    eval_chunks,
+    eval_mode,
     loss_and_gradients,
     release_heap,
     save_checkpoint,
@@ -242,24 +244,18 @@ def _build_learner(cfg: RmlConfig, i: int, k: int, images, labels, seed) -> NetM
     )
 
 
-def soft_predictions(model: NetModel, images: np.ndarray) -> np.ndarray:
-    """Eval-mode softmax predictions over clean images."""
-    was = model.mode
-    model.eval()
-    try:
-        return softmax(model.logits(images))
-    finally:
-        model.mode = was
-
-
-def _scores(probs: np.ndarray, labels: np.ndarray, k: int):
-    _, _, miou, acc = segmentation_scores(probs.argmax(axis=-1), labels, k)
-    return miou, acc
+def eval_confusion(model: NetModel, ds: Dataset, k: int, limit: int | None = None):
+    """``[gt, pred]`` counts of ``model``'s eval-mode argmax on clean images:
+    the sum of each :func:`netcore.eval_chunks` chunk's own counts."""
+    labels = ds.labels[:limit]
+    with eval_mode(model):
+        return sum(eval_chunks([model], ds.images[:limit], lambda rows, logits: confusion_matrix(
+            softmax(logits).argmax(axis=-1), labels[rows], k)))
 
 
 def evaluate_model(model: NetModel, ds: Dataset, k: int, limit: int | None = None):
-    """Eval mIoU and pixel accuracy on clean images."""
-    return _scores(soft_predictions(model, ds.images[:limit]), ds.labels[:limit], k)
+    """Eval mIoU and pixel accuracy on clean images, from :func:`eval_confusion`'s chunks."""
+    return segmentation_scores(eval_confusion(model, ds, k, limit))[1:]
 
 
 def _sample(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -344,9 +340,16 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
                     init_bank(baselines[1], labeled, unlabeled, k=k, lam=cfg.lam))
     stores = [None, None]
     if cfg.needs_rectification and len(unlabeled) > 0:
-        # the store and the average are float64, as all of rectification is
-        p0 = [soft_predictions(b, unlabeled.images).astype(np.float64)
-              for b in (baselines[:1] if shared else baselines)]
+        # float64, as all of rectification is; each chunk's softmax goes straight in
+        models = baselines[:1] if shared else baselines
+        p0 = [np.empty(unlabeled.images.shape[:3] + (k,)) for _ in models]
+
+        def fill(rows, *logits):
+            for p, z in zip(p0, logits):
+                p[rows] = softmax(z)
+
+        with eval_mode(*models):
+            eval_chunks(models, unlabeled.images, fill)
         if stage > 1 and not shared:
             # average in place: no third (N,H,W,K) array at the peak
             p0[0] += p0[1]
@@ -383,12 +386,8 @@ def pseudo_labels(learner: Learner, x: np.ndarray, ids, cfg: RmlConfig,
         return rectified_labels(learner.teacher, x, ids, learner.bank, learner.store,
                                 cfg.weak_strength, cfg.tau, rng, cfg.confidence_source)
     model = learner.student if cfg.variant == "direct_ml" else learner.teacher
-    was = model.mode
-    model.eval()
-    try:
+    with eval_mode(model):
         feats, logits = teacher_predict(model, x, cfg.weak_strength, rng)
-    finally:
-        model.mode = was
     return harden_with_threshold(softmax(logits), cfg.tau), feats, 0
 
 
@@ -476,14 +475,21 @@ def _measure_pseudo_acc(learners, ds_sub, cfg, rng):
 
 
 def _pair_tv(models, eval_set: Dataset, k: int, limit: int):
-    """Eval mIoU and accuracy of each model of a pair and the TV distance
-    between their predictions, from one soft-prediction set per model.
+    """``(mious, accs, tv)``: each model's eval mIoU and accuracy from confusion
+    counts summed over the chunks of one :func:`netcore.eval_chunks` pass over
+    both, and the mean TV distance, taken once over all the chunks' TV rows."""
+    labels = eval_set.labels[:limit]
 
-    Returns ``(mious, accs, tv)``.
-    """
-    probs = [soft_predictions(m, eval_set.images[:limit]) for m in models]
-    mious, accs = zip(*(_scores(p, eval_set.labels[:limit], k) for p in probs))
-    return list(mious), list(accs), tv_distance(*probs)
+    def score(rows, *logits):
+        probs = [softmax(z) for z in logits]
+        return ([confusion_matrix(p.argmax(axis=-1), labels[rows], k) for p in probs],
+                tv_rows(*probs))
+
+    with eval_mode(*models):
+        parts = eval_chunks(models, eval_set.images[:limit], score)
+    scores = [segmentation_scores(sum(confs[i] for confs, _ in parts)) for i in range(2)]
+    tv = float(np.concatenate([rows for _, rows in parts]).mean())
+    return [s[1] for s in scores], [s[2] for s in scores], tv
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 
 from rml_lab.errors import InputError
+from rml_lab.metrics import confusion_matrix, segmentation_scores
+from rml_lab.netcore import softmax
 
 
 def cross_entropy(p: np.ndarray, target: np.ndarray, pixel_mask: np.ndarray | None = None) -> float:
@@ -108,3 +110,24 @@ def upsample_tokens(tok, th, tw, pp):
     return (tok.reshape(n, th, tw, 1, 1, c)
             .repeat(pp, axis=3).repeat(pp, axis=4)
             .transpose(0, 1, 3, 2, 4, 5).reshape(n, th * pp, tw * pp, c))
+
+
+# Evaluation scores inside its eval chunks; these build the whole (N,H,W,K)
+# arrays it once built, and the tests require the chunks to give the same bits.
+
+
+def soft_predictions(model, images):
+    """Eval-mode softmax predictions of ``model`` over the whole batch at once,
+    with the model's mode restored."""
+    was = model.mode
+    try:
+        return softmax(model.eval().forward(images)[1])
+    finally:
+        model.mode = was
+
+
+def whole_scores(model, images, labels, k):
+    """Per-class IoU, mIoU and pixel accuracy of the argmax of
+    :func:`soft_predictions`."""
+    return segmentation_scores(confusion_matrix(soft_predictions(model, images).argmax(-1),
+                                                labels, k))

@@ -747,6 +747,25 @@ def test_eval_checkpoint_with_a_non_finite_param_is_one_format_error(tmp_path, c
         f"error:format: param fc2_w in checkpoint {ckpt} is not finite"]
 
 
+@pytest.mark.parametrize("k", [4, 9])
+def test_eval_of_a_checkpoint_with_another_class_count_is_one_input_error(tmp_path, capsys,
+                                                                          monkeypatch, k):
+    # on 6-class data a K=4 checkpoint scored, and a K=9 one scored 6 IoUs
+    # unless some pixel's argmax passed class 5, which failed in the counting
+    data = gen_shapes(tmp_path, seed=12, k=6)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, build_model("cnn", K=k, C=4, in_channels=3))
+    forwards = []
+    monkeypatch.setattr(netcore, "_forward", lambda *args, **kwargs: forwards.append(args))
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)])
+    assert rc == cli.EXIT_CODES["input"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and forwards == []
+    assert captured.err.splitlines() == [
+        f"error:input: checkpoint {ckpt} has K={k} classes, but the dataset has 6"]
+
+
 def test_eval_checkpoint_with_bad_noise_is_one_format_error(tmp_path, capsys):
     data = gen_shapes(tmp_path, seed=12)
     model = build_model("cnn", K=4, C=4, in_channels=3, noise=NoiseConfig(0.5, 0.8))

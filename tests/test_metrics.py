@@ -95,7 +95,7 @@ def test_tv_metric_axioms(seed):
 
 def test_perfect_prediction():
     gt = np.array([[0, 1], [2, 1]])
-    _, iou, miou, acc = segmentation_scores(gt, gt, 3)
+    iou, miou, acc = segmentation_scores(confusion_matrix(gt, gt, 3))
     assert miou == 1.0 and acc == 1.0
     np.testing.assert_array_equal(iou, [1.0, 1.0, 1.0])
 
@@ -103,7 +103,7 @@ def test_perfect_prediction():
 def test_spec_2x2_example():
     gt = np.array([0, 0, 1, 1])
     pred = np.array([0, 1, 1, 1])
-    _, iou, miou, _ = segmentation_scores(pred, gt, 2)
+    iou, miou, _ = segmentation_scores(confusion_matrix(pred, gt, 2))
     assert iou[0] == pytest.approx(1 / 2)
     assert iou[1] == pytest.approx(2 / 3)
     assert miou == pytest.approx(7 / 12)
@@ -112,7 +112,7 @@ def test_spec_2x2_example():
 def test_absent_class_excluded():
     gt = np.array([0, 0, 1, 1])
     pred = np.array([0, 0, 1, 1])
-    _, iou, miou, _ = segmentation_scores(pred, gt, 3)
+    iou, miou, _ = segmentation_scores(confusion_matrix(pred, gt, 3))
     assert np.isnan(iou[2])
     assert miou == 1.0
 
@@ -122,7 +122,8 @@ def test_all_2x2_label_maps_match_oracle():
     maps = [np.array(m).reshape(2, 2) for m in itertools.product(range(k), repeat=4)]
     for gt in maps[::7]:
         for pred in maps[::13]:
-            conf, iou, miou, _ = segmentation_scores(pred, gt, k)
+            conf = confusion_matrix(pred, gt, k)
+            iou, miou, _ = segmentation_scores(conf)
             oc, oi, om = counting_oracle(pred, gt, k)
             np.testing.assert_array_equal(conf, oc)
             for a, b in zip(iou, oi):
@@ -139,7 +140,7 @@ def test_all_3x3_label_maps_match_oracle():
     maps = [np.array(m).reshape(3, 3) for m in itertools.product(range(k), repeat=9)]
     preds = maps[1:] + maps[:1]
     for gt, pred in zip(maps, preds):
-        _, iou, miou, _ = segmentation_scores(pred, gt, k)
+        iou, miou, _ = segmentation_scores(confusion_matrix(pred, gt, k))
         _, oi, om = counting_oracle(pred, gt, k)
         ok = [(np.isnan(a) if b is None else a == pytest.approx(b)) for a, b in zip(iou, oi)]
         assert all(ok)

@@ -183,7 +183,7 @@ def train_forward(m, x, rng=None):
 
 def test_forward_in_train_mode_is_a_state_error():
     m = small_model("cnn")
-    for forward in (m.forward, m.logits):
+    for forward in (m.forward, lambda x: netcore.eval_chunks([m], x, lambda rows, z: z)):
         with pytest.raises(StateError, match="eval mode"):
             forward(small_input("cnn"))
 
@@ -238,9 +238,9 @@ def count_chunks(monkeypatch):
     sizes = []
     inner = netcore._forward
 
-    def counted(m, x, rng, want_cache):
+    def counted(m, x, *args, **kwargs):
         sizes.append(len(x))
-        return inner(m, x, rng, want_cache)
+        return inner(m, x, *args, **kwargs)
 
     monkeypatch.setattr(netcore, "_forward", counted)
     return sizes
@@ -334,7 +334,8 @@ def test_eval_forward_bits_do_not_depend_on_workers(kind, n, monkeypatch):
             feats, logits = m.forward(x)
             np.testing.assert_array_equal(feats, serial_f)
             np.testing.assert_array_equal(logits, serial_l)
-            assert m.logits(x).tobytes() == serial_l.tobytes()
+            chunks = netcore.eval_chunks([m], x, lambda rows, z: z)   # logits alone
+            assert np.concatenate(chunks).tobytes() == serial_l.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -394,10 +395,10 @@ def test_eval_chunk_error_reaches_the_caller(spare, monkeypatch):
     want_f, want_l = m.forward(x)
     inner = netcore._forward
 
-    def failing(model, chunk, rng, want_cache):
+    def failing(model, chunk, *args, **kwargs):
         if chunk[0, 0, 0, 0] == 16:
             raise TrainingError("second chunk")
-        return inner(model, chunk, rng, want_cache)
+        return inner(model, chunk, *args, **kwargs)
 
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: spare)
     monkeypatch.setattr(netcore, "_forward", failing)
@@ -418,13 +419,13 @@ def test_worker_error_reaches_the_caller_and_stops_the_rest(monkeypatch):
     failed = threading.Event()
     on_caller = []
 
-    def worker_fails(model, chunk, rng, want_cache):
+    def worker_fails(model, chunk, *args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             failed.set()
             raise TrainingError("on a worker")
         assert failed.wait(10)
         on_caller.append(len(chunk))
-        return inner(model, chunk, rng, want_cache)
+        return inner(model, chunk, *args, **kwargs)
 
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 1)
     monkeypatch.setattr(netcore, "_forward", worker_fails)

@@ -8,7 +8,7 @@ import pytest
 
 from rml_lab.augment import mix_images, photometric
 from rml_lab.data import Dataset, generate_shapes_dataset, make_split
-from rml_lab import trainer
+from rml_lab import netcore, trainer
 from rml_lab.errors import TrainingError
 from rml_lab.metrics import pseudo_accuracy, tv_distance
 from rml_lab.netcore import load_checkpoint, softmax
@@ -18,7 +18,6 @@ from rml_lab.trainer import (
     RmlConfig,
     evaluate_model,
     init_stage,
-    soft_predictions,
     labeled_step,
     run_rml,
     pseudo_labels,
@@ -26,7 +25,7 @@ from rml_lab.trainer import (
     unlabeled_step,
 )
 
-from oracles import cross_entropy, float64_copy
+from oracles import cross_entropy, float64_copy, soft_predictions
 
 K = 4
 # no dropout and no stochastic depth
@@ -517,18 +516,28 @@ def test_given_baselines_write_the_bytes_of_a_run_that_trains_its_own(shapes_dat
 
 
 def test_eval_interval_predicts_each_model_once(shapes_data, monkeypatch):
-    # iml: no stage store, so every soft-prediction set belongs to an eval
+    # each eval interval scores the students, then the teachers, in one eval
+    # pass a pair: one chunk forward of each model per chunk (16 images of
+    # 8x8 are one chunk), and no other forward inside it
     labeled, unlabeled, ev = shapes_data
     cfg = tiny_cfg(variant="iml", stages=2, iterations=30, eval_interval=15)
-    calls = []
+    forward, pair_tv = netcore._forward, trainer._pair_tv
+    forwards, passes = [], []
 
-    def counted(model, images):
-        calls.append(len(images))
-        return soft_predictions(model, images)
+    def counted(model, x, *args, **kwargs):
+        forwards.append((model, len(x)))
+        return forward(model, x, *args, **kwargs)
 
-    monkeypatch.setattr(trainer, "soft_predictions", counted)
+    def scored(models, *args):
+        forwards.clear()
+        result = pair_tv(models, *args)
+        passes.append(forwards == [(models[0], 16), (models[1], 16)])
+        return result
+
+    monkeypatch.setattr(netcore, "_forward", counted)
+    monkeypatch.setattr(trainer, "_pair_tv", scored)
     res = run_rml(labeled, unlabeled, ev, cfg, k=K)
-    assert len(calls) == 4 * len(res.records)
+    assert passes == [True] * (2 * len(res.records))
     last = res.records[-1]
     for role in ("students", "teachers"):
         models = getattr(res.quad, role)
