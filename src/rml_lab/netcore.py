@@ -19,10 +19,11 @@ computes exactly as a float64 engine would. Softmax keeps the logits'
 dtype. Everything outside this module (augmentation, prototypes,
 rectification, metrics) works in float64.
 
-All inputs are ``(N, H, W, Cin)`` arrays; every architecture returns a
-feature map ``(N, H, W, C)`` and logits ``(N, H, W, K)`` at the same
-resolution (classification tasks use ``H = W = 1``: ``data.load_dataset``
-flattens their images into channels).
+All inputs are ``(N, H, W, Cin)`` arrays (classification tasks use ``H = W = 1``:
+``data.load_dataset`` flattens their images). A forward returns features ``(..., C)``
+and logits ``(..., K)`` on the model's grid: ``(N, H, W)`` for cnn and mlp, attention's
+``(N, H/p, W/p)`` tokens. :func:`pixels` is the one up-sample, so row-by-row work runs
+once per token with each row's bits; ``NetModel.forward`` returns pixels.
 
 One loss serves every training step: :func:`loss_and_gradients` runs one
 forward pass, scores a list of ``(labels, pixel_mask)`` cross-entropy
@@ -32,18 +33,18 @@ its shape and its range: a term's loss gathers ``log p`` at the label, and
 its logit gradient is ``p`` with 1 taken off at the label. Those are the
 bits of the one-hot formulas ``-sum_k y_k log p_k`` and ``p - y``.
 
-Eval-mode forwards run over chunks of whole images, about
-``EVAL_CHUNK_PIXELS`` pixels each, so a large batch never builds one big
-im2col patch matrix (75 MB per conv layer at 256 images of 16x16 with 16
-channels) that must be faulted in on every call. BLAS sums small matrices
-in another order, so a row's result can depend on how many rows its
-matmul has; no chunk is therefore smaller than the chunk size unless the
-whole batch is, and each chunk's output is bitwise that of a forward over
-the whole batch (see tests/test_netcore.py). :func:`eval_chunks`, the one
-chunk runner, hands each chunk's outputs of one or more models to a
-consumer's function, so consumers reduce inside the chunks (confusion
-counts, TV rows) and build no ``(N, H, W, K)`` array; ``NetModel.forward``
-concatenates them. The one train-mode forward, that of
+Eval-mode forwards run over chunks of whole images, about ``EVAL_CHUNK_ROWS`` rows each
+on the grid of the pass's model with the most rows an image. So a large batch never builds
+one big im2col patch matrix (75 MB per conv layer at 256 images of 16x16 with 16 channels)
+that must be faulted in on every call, and an attn model alone takes p*p times the images
+(at 16 images a chunk its many small ops gained nothing from the eval worker). BLAS sums
+small matrices in another order, so a row's result can depend on how many rows its matmul
+has; no chunk is therefore smaller than the chunk size unless the whole batch is, and each
+chunk's output is bitwise that of a forward over the whole batch (see tests/test_netcore.py
+and tests/test_grid.py). :func:`eval_chunks`, the one chunk runner, hands each chunk's
+outputs of one or more models to a consumer's function, so consumers reduce inside the
+chunks (confusion counts, TV rows) and build no ``(N, H, W, K)`` array;
+``NetModel.forward`` concatenates them. The one train-mode forward, that of
 :func:`loss_and_gradients`, is not chunked, so its random draws are unchanged.
 
 The caller and up to one worker per other usable CPU each take the next
@@ -104,7 +105,7 @@ ARCH_KINDS = ("mlp", "cnn", "attn")
 
 CHECKPOINT_MAGIC = b"RMLCKPT3"
 
-EVAL_CHUNK_PIXELS = 4096    # pixels per eval-mode forward chunk (16 images of 16x16)
+EVAL_CHUNK_ROWS = 4096    # grid rows per eval chunk: 16 images of 16x16 pixels, 64 of 2x2 tokens
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,8 @@ class NetModel:
             {k: v.copy() for k, v in self.params.items()}, self.mode,
         )
 
-    def forward(self, x: np.ndarray):
-        """The eval-mode forward; returns ``(features, logits)``, concatenated over its chunks.
+    def grid_forward(self, x: np.ndarray):
+        """The eval-mode forward: ``(features, logits)`` on the model's grid, over its chunks.
 
         Pure: it draws no noise, and the batch runs in chunks of whole
         images, on the caller and the process's spare CPUs, with the same
@@ -186,6 +187,10 @@ class NetModel:
         """
         outs = eval_chunks((self,), x, lambda rows, out: out, feats=True)
         return outs[0] if len(outs) == 1 else tuple(np.concatenate(a) for a in zip(*outs))
+
+    def forward(self, x: np.ndarray):
+        """:meth:`grid_forward`'s ``(features, logits)`` at pixel resolution."""
+        return tuple(pixels(self, a) for a in self.grid_forward(x))
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -257,8 +262,8 @@ def release_heap() -> None:
 
 def eval_chunks(models, x: np.ndarray, fn, feats: bool = False) -> list:
     """``fn(rows, *outs)`` of each eval chunk ``x[rows]`` of whole images, in chunk
-    order; ``outs`` holds each eval-mode model's logits of the chunk, or its
-    ``(features, logits)`` with ``feats``. The caller and the spare CPUs' workers
+    order; ``outs`` holds each eval-mode model's logits of the chunk on its grid,
+    or its ``(features, logits)`` with ``feats``. The caller and the spare CPUs' workers
     each take the next chunk until none is left. An error, in a forward or in
     ``fn``, leaves the chunks not yet taken undone and is raised once every
     thread has stopped: the caller's own, else the first worker's in submission order."""
@@ -266,7 +271,8 @@ def eval_chunks(models, x: np.ndarray, fn, feats: bool = False) -> list:
         raise StateError("forward needs a model in eval mode")
     xs = [_check_input(m, x) for m in models]
     n, h, w, _ = xs[0].shape
-    step = max(1, EVAL_CHUNK_PIXELS // (h * w))
+    rows = max(h * w // (m.arch.patch ** 2 if m.arch.kind == "attn" else 1) for m in models)
+    step = max(1, EVAL_CHUNK_ROWS // rows)   # by the model with the most grid rows an image
     # the last chunk takes the remainder, so no chunk is smaller than step
     bounds = [i * step for i in range(max(1, n // step))] + [n]
     todo = deque(range(len(bounds) - 1))
@@ -280,8 +286,8 @@ def eval_chunks(models, x: np.ndarray, fn, feats: bool = False) -> list:
                 except IndexError:
                     return
                 rows = slice(bounds[i], bounds[i + 1])
-                fwd = [_forward(m, xm[rows], None, want_cache=False, want_feats=feats)
-                       for m, xm in zip(models, xs)]
+                # a generator, so features not asked for are freed before fn runs
+                fwd = (_forward(m, xm[rows], None, want_cache=False) for m, xm in zip(models, xs))
                 outs[i] = fn(rows, *(f[:2] if feats else f[1] for f in fwd))
         except BaseException:
             todo.clear()
@@ -480,8 +486,17 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return np.subtract(zs, np.log(class_sum(np.exp(zs))), out=zs)
 
 
-def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool, want_feats: bool = True):
-    """``(features, logits, cache)``; the features are None without ``want_feats``."""
+def pixels(m: NetModel, a: np.ndarray) -> np.ndarray:
+    """``(N, gh, gw, ...)`` rows on ``m``'s grid, per pixel: each attn token fills its patch."""
+    if m.arch.kind != "attn":
+        return a   # cnn and mlp rows are pixels
+    (n, th, tw, *c), pp = a.shape, m.arch.patch
+    return np.broadcast_to(a.reshape(n, th, 1, tw, 1, *c),   # one copy of a broadcast view
+                           (n, th, pp, tw, pp, *c)).reshape(n, th * pp, tw * pp, *c)
+
+
+def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
+    """``(features, logits, cache)``, the outputs on ``m``'s grid (see :func:`pixels`)."""
     x = _check_input(m, x)
     p = m.params
     cache: dict = {"x": x}
@@ -520,10 +535,9 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool, want_feats: bool
         n, h, w, ci = x.shape
         pp = m.arch.patch
         th, tw = h // pp, w // pp
-        t = th * tw
         tokens = (x.reshape(n, th, pp, tw, pp, ci)
                    .transpose(0, 1, 3, 2, 4, 5)
-                   .reshape(n, t, pp * pp * ci))
+                   .reshape(n, th * tw, pp * pp * ci))
         emb = tokens @ p["embed_w"]
         emb += p["embed_b"]
         q = emb @ p["q_w"]
@@ -540,17 +554,14 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool, want_feats: bool
         gate = _sd_gate(m, n, rng)[:, :, :, 0]  # (n,1,1), broadcasts over tokens
         z = emb + gate * out
         fdrop_tok, dmask = _dropout(m, z, rng)
-        logits_tok = fdrop_tok @ p["head_w"]
-        logits_tok += p["head_b"]
-        def up(a):   # every pixel inherits its patch token: one copy of a broadcast view
-            return np.broadcast_to(a.reshape(n, th, 1, tw, 1, -1),
-                                   (n, th, pp, tw, pp, a.shape[-1])).reshape(n, h, w, -1)
-        feats, logits = (up(z) if want_feats else None), up(logits_tok)
+        logits = fdrop_tok @ p["head_w"]
+        logits += p["head_b"]
+        feats, logits = z.reshape(n, th, tw, -1), logits.reshape(n, th, tw, -1)
         if want_cache:
             cache.update(tokens=tokens, emb=emb, q=q, k=k, v=v, scale=scale,
                          attn=attn, ctx=ctx, gate=gate, z=z, fdrop=fdrop_tok,
                          dmask=dmask, tshape=(th, tw))
-    return (feats if want_feats else None), logits, (cache if want_cache else None)
+    return feats, logits, (cache if want_cache else None)
 
 
 def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -582,8 +593,7 @@ def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.nda
         pp = m.arch.patch
         th, tw = cache["tshape"]
         # pixel grads sum back onto their patch token
-        dlog_tok = (dlogits.reshape(n, th, pp, tw, pp, -1).sum(axis=(2, 4)))
-        dlog_tok = dlog_tok.reshape(n, th * tw, -1)
+        dlog_tok = dlogits.reshape(n, th, pp, tw, pp, -1).sum(axis=(2, 4)).reshape(n, th * tw, -1)
         fdrop = cache["fdrop"]
         dy2 = dlog_tok.reshape(-1, m.num_classes)
         g["head_w"] = fdrop.reshape(-1, m.feature_dim).T @ dy2
@@ -631,7 +641,8 @@ def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
     gradients of the sum of the per-term losses; when no term has a pixel
     they are zero.
     """
-    feats, logits, cache = _forward(m, x, rng, want_cache=True)
+    _, logits, cache = _forward(m, x, rng, want_cache=True)
+    logits = pixels(m, logits)
     k = logits.shape[-1]
     logp = log_softmax(logits)
     p = np.exp(logp)

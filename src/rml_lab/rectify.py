@@ -8,9 +8,10 @@ the current confidence map and re-hardens them
 are rectified separately and mixed by the trainer, like every variant's
 pseudo labels.
 
-A soft prediction is a plain ``(N,H,W,K)`` probability array. A hardened
-one is :class:`HardLabels`: the ``(N,H,W)`` integer class map and its
-threshold gate, the form every loss term and metric takes.
+A soft prediction is a plain ``(N,H,W,K)`` probability array. A hardened one is
+:class:`HardLabels`: the ``(N,H,W)`` integer class map and its threshold gate, the form
+every loss term and metric takes. The teacher's outputs come on its grid (``netcore.pixels``):
+an attn teacher's confidence weights are computed per token and up-sampled to meet ``p0``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .augment import photometric
 from .errors import InputError, StateError
-from .netcore import class_max, class_sum, softmax
+from .netcore import class_max, class_sum, pixels, softmax
 from .protobank import confidence_weights
 
 @dataclass
@@ -65,9 +66,9 @@ class StagePseudoStore:
 
 def teacher_predict(teacher, x: np.ndarray, weak_strength: float,
                     rng) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode teacher features and logits on ``x`` perturbed at
-    ``weak_strength``; a caller that needs probabilities takes their softmax."""
-    return teacher.forward(photometric(x, weak_strength, rng))
+    """Eval-mode teacher features and logits on ``x`` perturbed at ``weak_strength``,
+    on the teacher's grid; a caller that needs probabilities takes their softmax."""
+    return teacher.grid_forward(photometric(x, weak_strength, rng))
 
 
 def harden_with_threshold(p: np.ndarray, tau: float) -> HardLabels:
@@ -112,10 +113,10 @@ def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
                      confidence_source: str = "prototype") -> tuple[HardLabels, np.ndarray, int]:
     """Denoise one unlabeled batch; returns ``(labels, teacher_feats, fallbacks)``.
 
-    The teacher sees ``x`` perturbed at ``weak_strength``.
-
-    ``confidence_source="teacher_softmax"`` replaces the prototype weights
-    with the teacher's own softmax output (ablation path).
+    The teacher sees ``x`` perturbed at ``weak_strength``. Its confidence weights
+    come on its grid and are up-sampled to meet ``p0``; the features, per pixel.
+    ``confidence_source="teacher_softmax"`` replaces the prototype weights with
+    the teacher's own softmax output (ablation path).
     """
     p0 = store.get_batch(ids)
     feats, logits = teacher_predict(teacher, x, weak_strength, rng)
@@ -125,5 +126,5 @@ def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
         omega = softmax(logits)
     else:
         raise InputError(f"unknown confidence source {confidence_source!r}")
-    labels, fallback = denoise(p0, omega, tau)
-    return labels, feats, fallback
+    labels, fallback = denoise(p0, pixels(teacher, omega), tau)
+    return labels, pixels(teacher, feats), fallback

@@ -43,6 +43,7 @@ from .netcore import (
     eval_chunks,
     eval_mode,
     loss_and_gradients,
+    pixels,
     release_heap,
     save_checkpoint,
     sgd_step,
@@ -245,12 +246,12 @@ def _build_learner(cfg: RmlConfig, i: int, k: int, images, labels, seed) -> NetM
 
 
 def eval_confusion(model: NetModel, ds: Dataset, k: int, limit: int | None = None):
-    """``[gt, pred]`` counts of ``model``'s eval-mode argmax on clean images:
-    the sum of each :func:`netcore.eval_chunks` chunk's own counts."""
+    """``[gt, pred]`` counts per pixel of ``model``'s eval-mode argmax on clean images,
+    taken on its grid: the sum of each :func:`netcore.eval_chunks` chunk's own counts."""
     labels = ds.labels[:limit]
     with eval_mode(model):
         return sum(eval_chunks([model], ds.images[:limit], lambda rows, logits: confusion_matrix(
-            softmax(logits).argmax(axis=-1), labels[rows], k)))
+            pixels(model, softmax(logits).argmax(axis=-1)), labels[rows], k)))
 
 
 def evaluate_model(model: NetModel, ds: Dataset, k: int, limit: int | None = None):
@@ -345,8 +346,8 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
         p0 = [np.empty(unlabeled.images.shape[:3] + (k,)) for _ in models]
 
         def fill(rows, *logits):
-            for p, z in zip(p0, logits):
-                p[rows] = softmax(z)
+            for p, m, z in zip(p0, models, logits):
+                p[rows] = pixels(m, softmax(z))
 
         with eval_mode(*models):
             eval_chunks(models, unlabeled.images, fill)
@@ -388,7 +389,9 @@ def pseudo_labels(learner: Learner, x: np.ndarray, ids, cfg: RmlConfig,
     model = learner.student if cfg.variant == "direct_ml" else learner.teacher
     with eval_mode(model):
         feats, logits = teacher_predict(model, x, cfg.weak_strength, rng)
-    return harden_with_threshold(softmax(logits), cfg.tau), feats, 0
+    y = harden_with_threshold(softmax(logits), cfg.tau)   # on the model's grid
+    return (HardLabels(pixels(model, y.labels), pixels(model, y.valid), y.num_classes),
+            pixels(model, feats), 0)
 
 
 def _mix_halves(halves: list, masks) -> HardLabels:
@@ -452,7 +455,7 @@ def unlabeled_step(learners: list[Learner], batch1, batch2, cfg: RmlConfig,
             fparts = [f.reshape(-1, f.shape[-1]) for _, f, _ in hs]
             aparts = [y.labels.ravel() for y, _, _ in hs]
             lf, _ = teacher_predict(learner.teacher, lx, cfg.weak_strength, learner.rng_teacher)
-            fparts.append(lf.reshape(-1, lf.shape[-1]))
+            fparts.append(pixels(learner.teacher, lf).reshape(-1, lf.shape[-1]))
             aparts.append(np.asarray(ll).ravel())
             eta_prime, present = batch_prototypes(np.concatenate(fparts),
                                                   np.concatenate(aparts), k)
@@ -475,15 +478,15 @@ def _measure_pseudo_acc(learners, ds_sub, cfg, rng):
 
 
 def _pair_tv(models, eval_set: Dataset, k: int, limit: int):
-    """``(mious, accs, tv)``: each model's eval mIoU and accuracy from confusion
-    counts summed over the chunks of one :func:`netcore.eval_chunks` pass over
-    both, and the mean TV distance, taken once over all the chunks' TV rows."""
+    """``(mious, accs, tv)``: each model's eval mIoU and accuracy from per-pixel confusion
+    counts of its grid argmax, summed over the chunks of one :func:`netcore.eval_chunks`
+    pass over both, and the mean TV distance over all the chunks' per-pixel TV rows."""
     labels = eval_set.labels[:limit]
 
     def score(rows, *logits):
-        probs = [softmax(z) for z in logits]
-        return ([confusion_matrix(p.argmax(axis=-1), labels[rows], k) for p in probs],
-                tv_rows(*probs))
+        probs = [(m, softmax(z)) for m, z in zip(models, logits)]
+        return ([confusion_matrix(pixels(m, p.argmax(axis=-1)), labels[rows], k) for m, p in probs],
+                tv_rows(*(pixels(m, p) for m, p in probs)))
 
     with eval_mode(*models):
         parts = eval_chunks(models, eval_set.images[:limit], score)

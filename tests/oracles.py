@@ -3,6 +3,7 @@
 import numpy as np
 
 from rml_lab.errors import InputError
+from rml_lab import netcore
 from rml_lab.metrics import confusion_matrix, segmentation_scores
 from rml_lab.netcore import softmax
 
@@ -112,18 +113,31 @@ def upsample_tokens(tok, th, tw, pp):
             .transpose(0, 1, 3, 2, 4, 5).reshape(n, th * pp, tw * pp, c))
 
 
-# Evaluation scores inside its eval chunks; these build the whole (N,H,W,K)
-# arrays it once built, and the tests require the chunks to give the same bits.
+# Attention keeps its token grid until a consumer needs pixels, and evaluation
+# scores inside its eval chunks; these work per pixel on the whole (N,H,W,K)
+# arrays that were once built, and the tests require the same bits.
+
+
+def pixel_outputs(model, images):
+    """Eval-mode ``(features, logits)`` per pixel from one forward of the whole
+    batch, attention's token rows repeated by :func:`upsample_tokens`, with
+    the model's mode restored."""
+    was = model.mode
+    try:
+        outs = netcore._forward(model.eval(), images, None, want_cache=False)[:2]
+    finally:
+        model.mode = was
+    if model.arch.kind != "attn":
+        return outs
+    n, th, tw, _ = outs[0].shape
+    return tuple(upsample_tokens(a.reshape(n, th * tw, -1), th, tw, model.arch.patch)
+                 for a in outs)
 
 
 def soft_predictions(model, images):
-    """Eval-mode softmax predictions of ``model`` over the whole batch at once,
-    with the model's mode restored."""
-    was = model.mode
-    try:
-        return softmax(model.eval().forward(images)[1])
-    finally:
-        model.mode = was
+    """Eval-mode softmax predictions per pixel of ``model`` over the whole
+    batch at once, with the model's mode restored."""
+    return softmax(pixel_outputs(model, images)[1])
 
 
 def whole_scores(model, images, labels, k):

@@ -176,9 +176,10 @@ def test_eval_forward_is_pure():
         np.testing.assert_array_equal(f1, f2)
 
 
-def train_forward(m, x, rng=None):
-    """The train-mode ``(features, logits)`` that a loss's forward computes."""
-    return netcore._forward(m, x, rng, want_cache=False)[:2]
+def whole_forward(m, x, rng=None):
+    """``(features, logits)`` per pixel of one unchunked forward in ``m``'s mode:
+    in train mode, what a loss's forward computes."""
+    return tuple(netcore.pixels(m, a) for a in netcore._forward(m, x, rng, want_cache=False)[:2])
 
 
 def test_forward_in_train_mode_is_a_state_error():
@@ -192,7 +193,7 @@ def test_noise_off_train_equals_eval():
     for kind in ("mlp", "cnn", "attn"):
         m = small_model(kind, noise=NoiseConfig())
         x = small_input(kind)
-        _, lt = train_forward(m.train(), x)
+        _, lt = whole_forward(m.train(), x)
         _, le = m.eval().forward(x)
         np.testing.assert_array_equal(lt, le)
 
@@ -202,7 +203,7 @@ def test_dropout_zeroed_fraction_binomial():
     m = build_model("mlp", K=2, C=10_000, seed=0, in_channels=4, hidden=8,
                     noise=NoiseConfig(dropout_rate=0.5))
     x = np.abs(np.random.default_rng(5).random((1, 1, 1, 4))) + 0.5
-    feats, _ = train_forward(m, x, np.random.default_rng(11))
+    feats, _ = whole_forward(m, x, np.random.default_rng(11))
     dropped, mask = netcore._dropout(m, feats, np.random.default_rng(11))
     frac = float((mask == 0).mean())
     assert abs(frac - 0.5) <= 0.02
@@ -213,7 +214,7 @@ def test_dropout_zeroed_fraction_binomial():
 def test_stochastic_depth_survival_one_is_identity():
     m = small_model("cnn", noise=NoiseConfig(0.0, 1.0))
     x = small_input("cnn")
-    _, lt = train_forward(m.train(), x, np.random.default_rng(0))
+    _, lt = whole_forward(m.train(), x, np.random.default_rng(0))
     _, le = m.eval().forward(x)
     np.testing.assert_array_equal(lt, le)
 
@@ -221,7 +222,7 @@ def test_stochastic_depth_survival_one_is_identity():
 def test_train_mode_with_noise_requires_rng():
     m = small_model("mlp", noise=NOISY)
     with pytest.raises(InputError):
-        train_forward(m, small_input("mlp"))
+        whole_forward(m, small_input("mlp"))
 
 
 def test_input_shape_errors():
@@ -248,13 +249,15 @@ def count_chunks(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["cnn", "attn", "mlp"])
 def test_eval_forward_chunks_are_bitwise_whole_batch(kind, monkeypatch):
-    # 16x16 images: 16 per chunk; 37 is no multiple, so the last chunk takes 21
+    # 16x16 images: 16 per chunk, and 64 of attn's 8x8 tokens; 37 (148) is no
+    # multiple, so the last chunk takes 21 (84)
+    per = 4 if kind == "attn" else 1
     m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3).eval()
-    x = np.random.default_rng(4).random((37, 16, 16, 3))
-    whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
+    x = np.random.default_rng(4).random((37 * per, 16, 16, 3))
+    whole_f, whole_l = whole_forward(m, x)
     sizes = count_chunks(monkeypatch)
     feats, logits = m.forward(x)
-    assert sorted(sizes) == [16, 21]   # chunks on workers may start in any order
+    assert sorted(sizes) == [16 * per, 21 * per]   # chunks on workers may start in any order
     np.testing.assert_array_equal(feats, whole_f)
     np.testing.assert_array_equal(logits, whole_l)
 
@@ -265,7 +268,7 @@ def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
     # has fewer rows than the whole-batch matmuls would (fewer rows change
     # BLAS summation here)
     m = build_model("mlp", K=10, C=64, noise=NOISY, seed=3, in_channels=784).eval()
-    step = netcore.EVAL_CHUNK_PIXELS
+    step = netcore.EVAL_CHUNK_ROWS
     x = np.random.default_rng(5).random((2 * step + 3, 1, 1, 784))
     whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
     sizes = count_chunks(monkeypatch)
@@ -281,11 +284,11 @@ def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
 @pytest.mark.parametrize("kind", ["cnn", "attn", "mlp"])
 def test_train_forward_is_unchunked(kind, monkeypatch):
     # a loss's train-mode forward is one pass over the whole batch, with the
-    # draws of one train_forward
+    # draws of one whole_forward
     m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
     x = np.random.default_rng(6).random((37, 16, 16, 3))
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    train_forward(m, x, rng_a)
+    whole_forward(m, x, rng_a)
     sizes = count_chunks(monkeypatch)
     loss_and_gradients(m, x, [(label_map((37, 16, 16), 6), None)], rng=rng_b)
     assert sizes == [37]
@@ -310,10 +313,13 @@ def test_eval_forward_frees_each_patch_matrix_after_its_matmul():
 
 def chunked_model(kind, monkeypatch):
     """An eval model on 16x16x3 images, 16 images a chunk; the flat mlp takes
-    them flattened, with the chunk size cut to 16 flattened pixels."""
+    them flattened, with the chunk size cut to 16 flattened pixels, and attn
+    has it cut to 16 images' 1024 tokens."""
     if kind == "flat-mlp":
-        monkeypatch.setattr(netcore, "EVAL_CHUNK_PIXELS", 16)
+        monkeypatch.setattr(netcore, "EVAL_CHUNK_ROWS", 16)
         return build_model("mlp", K=6, C=16, noise=NOISY, seed=3, in_channels=768).eval()
+    if kind == "attn":
+        monkeypatch.setattr(netcore, "EVAL_CHUNK_ROWS", 1024)
     return build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3).eval()
 
 
@@ -326,6 +332,7 @@ def test_eval_forward_bits_do_not_depend_on_workers(kind, n, monkeypatch):
         x = x.reshape(n, 1, 1, 768)
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 0)
     serial_f, serial_l = m.forward(x)
+    serial_grid = m.grid_forward(x)[1]
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 3)   # three workers, whatever the CPU count
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)   # threads switch often: more schedules in 10 calls
@@ -334,8 +341,8 @@ def test_eval_forward_bits_do_not_depend_on_workers(kind, n, monkeypatch):
             feats, logits = m.forward(x)
             np.testing.assert_array_equal(feats, serial_f)
             np.testing.assert_array_equal(logits, serial_l)
-            chunks = netcore.eval_chunks([m], x, lambda rows, z: z)   # logits alone
-            assert np.concatenate(chunks).tobytes() == serial_l.tobytes()
+            chunks = netcore.eval_chunks([m], x, lambda rows, z: z)   # grid logits alone
+            assert np.concatenate(chunks).tobytes() == serial_grid.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -384,7 +391,7 @@ def test_eval_forward_with_noise_draws_nothing(spare, monkeypatch):
         m = small_model(kind, noise=NOISY).eval()
         x = np.random.default_rng(1).random((37, 16, 16, 5 if kind == "mlp" else 2))
         _, logits = m.forward(x)
-        assert logits.tobytes() == netcore._forward(m, x, None, want_cache=False)[1].tobytes()
+        assert logits.tobytes() == whole_forward(m, x)[1].tobytes()
 
 
 @pytest.mark.parametrize("spare", [0, 3])
@@ -614,7 +621,7 @@ def test_loss_and_logit_gradient_give_the_bits_of_the_reduction_formulas(n_terms
                     terms[empty] = (terms[empty][0], np.zeros(nhw))
                 seen.clear()
                 losses, _ = loss_and_gradients(m, x, terms)
-                _, logits = train_forward(m, x)   # no noise: the loss's own forward
+                _, logits = whole_forward(m, x)   # no noise: the loss's own forward
                 want_losses, want_dlogits = loss_terms(logits, terms)
                 assert losses == want_losses
                 (dlogits,) = seen
@@ -630,9 +637,9 @@ def test_attn_pixels_are_their_tokens_repeated(mode):
     feats, logits, cache = netcore._forward(m, x, np.random.default_rng(4), want_cache=True)
     th, tw = cache["tshape"]
     assert (th, tw) == (2, 3)
-    assert_same_bits(feats, upsample_tokens(cache["z"], th, tw, 2))
+    assert_same_bits(netcore.pixels(m, feats), upsample_tokens(cache["z"], th, tw, 2))
     tok = cache["fdrop"] @ m.params["head_w"] + m.params["head_b"]
-    assert_same_bits(logits, upsample_tokens(tok, th, tw, 2))
+    assert_same_bits(netcore.pixels(m, logits), upsample_tokens(tok, th, tw, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Each chunk-local consumer, ``evaluate_model``, ``_pair_tv``, ``rml-lab
 eval`` and the stage store, is held bit for bit to the whole-array oracles
 of oracles.py: on a one-chunk batch and on 37 images of 16x16, whose chunks
 take 16 and 21 images, with the caller alone and with one worker beside it.
+An attn model alone takes 64 such images a chunk, so it runs one chunk here;
+tests/test_grid.py runs it over several.
 """
 
 import contextlib
@@ -160,6 +162,7 @@ def test_scoring_error_on_a_worker_is_one_cli_error_line(monkeypatch, data_dirs,
     save_checkpoint(ckpt, model("attn"))
     argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data_dirs[37])]
     raised = failing_on_a_worker(monkeypatch)
+    monkeypatch.setattr(netcore, "EVAL_CHUNK_ROWS", 1024)   # attn's 37 images in two chunks
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert cli.main(argv) == cli.EXIT_CODES["training"]
