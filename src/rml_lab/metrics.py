@@ -35,7 +35,8 @@ def confusion_matrix(pred: np.ndarray, gt: np.ndarray, k: int) -> np.ndarray:
     gt = np.asarray(gt).ravel()
     if pred.shape != gt.shape:
         raise InputError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    if pred.min(initial=0) < 0 or pred.max(initial=0) >= k or gt.max(initial=0) >= k:
+    if (pred.min(initial=0) < 0 or pred.max(initial=0) >= k
+            or gt.min(initial=0) < 0 or gt.max(initial=0) >= k):
         raise InputError(f"label values out of range for K={k}")
     return np.bincount(k * gt + pred, minlength=k * k).reshape(k, k)
 

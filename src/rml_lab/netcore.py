@@ -52,17 +52,30 @@ chunk until none is left. No chunk's bits depend on which thread ran it,
 and eval mode draws nothing, so the result is the same at any worker
 count; a single-chunk pass, such as a teacher's prediction for a training
 step's batch of 4, runs on the caller alone. The workers share one thread
-pool, made on first use. Before its first worker starts, glibc
-is told to keep one malloc arena: a worker's own arena raised
-``peak_rss_mb`` by 5-8% with one worker and by 12-17% with two, and one
-arena removed that. The heap's mmap and trim thresholds are fixed then
-too, at 32 and 8 MB: glibc moves them each time a thread frees a large
-mapped array, so how much freed memory the heap kept, and with it the
-process's peak RSS, varied with the threads' timing. At fixed thresholds
-an array under 32 MB comes from the heap and, once freed, is reused
-without page faults, and free memory beyond 8 MB at the heap's top goes
-back to the system. A training run and a baseline end with
-:func:`release_heap`, which hands back the rest (glibc's ``malloc_trim``).
+pool, made on first use.
+
+On glibc, importing this module sets the process's heap policy, so it
+holds for training before any eval pass and on a one-CPU host, where no
+pool is ever made. glibc keeps one malloc arena: a worker's own arena
+raised ``peak_rss_mb`` by 5-8% with one worker and by 12-17% with two,
+and one arena removed that. The heap's mmap and trim thresholds are
+fixed at 32 and 16 MB. Left alone, glibc moves them each time a large
+mapped array is freed, so how much freed memory the heap kept, and with
+it the process's peak RSS and the page faults that fetch that memory
+again, varied with the order of allocations and the threads' timing: on
+glibc 2.36 a fresh ``rml-lab train`` of a two-stage cnn pair took about
+200 thousand minor faults, and 17 thousand at fixed thresholds. At fixed
+thresholds an array under 32 MB comes from the heap and, once freed, is
+reused without page faults, and free memory beyond 16 MB at the heap's
+top goes back to the system. 16 MB clears one eval pass: tracemalloc
+puts a 16-image cnn eval chunk at 3.8 MB, the caller's and a worker's
+chunks together at 7.7 MB and a whole ``rml-lab eval`` call with one
+worker, its data load included, at 9.6 MB, so at 8 MB each evaluation
+handed its heap top back and the next one faulted it in again. 32 MB
+kept more than a pass needs and raised the ``ckpt-eval`` benchmark's
+peak RSS by about 6%. A training run and a baseline end with
+:func:`release_heap`, which hands back the rest (glibc's
+``malloc_trim``).
 
 A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
 matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
@@ -217,29 +230,37 @@ def _spare_cpus() -> int:
         return (os.cpu_count() or 1) - 1
 
 
+def _set_heap_policy():
+    """glibc's ``malloc_trim`` once the heap policy is set (see the module docstring);
+    None, with nothing set, off glibc."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
+        return None
+    if not glibc:
+        return None
+    import ctypes
+    libc = ctypes.CDLL(None)
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_ARENA_MAX (-8), M_MMAP_THRESHOLD (-3), M_TRIM_THRESHOLD (-1)
+    for param, value in ((-8, 1), (-3, 32 << 20), (-1, 16 << 20)):
+        mallopt(param, value)
+    trim = libc.malloc_trim
+    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    return trim
+
+
+_malloc_trim = _set_heap_policy()
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_malloc_trim = None   # glibc's, looked up with the pool
 
 
 def _eval_pool() -> ThreadPoolExecutor:
     """The eval-chunk thread pool, made on first use."""
-    global _pool, _malloc_trim
+    global _pool
     with _pool_lock:
         if _pool is None:
-            try:
-                glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
-            except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
-                glibc = False
-            if glibc:   # M_ARENA_MAX (-8), M_MMAP_THRESHOLD (-3), M_TRIM_THRESHOLD (-1)
-                import ctypes
-                libc = ctypes.CDLL(None)
-                mallopt = libc.mallopt
-                mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-                for param, value in ((-8, 1), (-3, 32 << 20), (-1, 8 << 20)):
-                    mallopt(param, value)
-                _malloc_trim = libc.malloc_trim
-                _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
             _pool = ThreadPoolExecutor(max(1, _spare_cpus()), "rml-eval")
         return _pool
 
@@ -255,7 +276,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def release_heap() -> None:
-    """Hand the heap's free pages back to the system once the eval workers exist."""
+    """Hand the heap's free pages back to the system: on glibc, whose heap policy is
+    set when this module is imported, else nothing."""
     if _malloc_trim is not None:
         _malloc_trim(0)
 

@@ -337,9 +337,8 @@ def test_stale_lock_is_taken_over(tmp_path):
 
 
 def test_train_hands_back_the_heap(tmp_path, monkeypatch):
-    # the baseline and the run after it each end with a trim
+    # the baseline and the run after it each end with a trim, with or without an eval pool
     data = gen_shapes(tmp_path, seed=7)
-    netcore._eval_pool()   # made first: making it looks malloc_trim up
     trims = []
     monkeypatch.setattr(netcore, "_malloc_trim", trims.append)
     cfg_path = write_config(tmp_path, quick_train_blob(data, tmp_path / "run"))

@@ -152,6 +152,12 @@ def test_label_out_of_range():
         confusion_matrix(np.array([0, 3]), np.array([0, 1]), 3)
 
 
+def test_negative_ground_truth_label_is_an_input_error():
+    # not the ValueError np.bincount raises for a negative index
+    with pytest.raises(InputError, match="out of range"):
+        confusion_matrix([0, 1], [-1, 1], 3)
+
+
 # ---------------------------------------------------------------------------
 # pseudo accuracy
 # ---------------------------------------------------------------------------

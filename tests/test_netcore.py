@@ -1,4 +1,5 @@
 import os
+import platform
 import signal
 import struct
 import sys
@@ -347,11 +348,13 @@ def test_eval_forward_bits_do_not_depend_on_workers(kind, n, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_release_heap_trims_once_the_pool_exists(monkeypatch):
+def test_release_heap_trims_with_no_pool(monkeypatch):
+    # the heap policy is set at import, so on glibc malloc_trim is there before any
+    # pool; tests/test_heap.py checks it in a process that never makes one
+    assert (netcore._malloc_trim is not None) == (platform.libc_ver()[0] == "glibc")
     trims = []
-    monkeypatch.setattr(netcore, "_malloc_trim", None)   # no pool yet, or not glibc
+    monkeypatch.setattr(netcore, "_malloc_trim", None)   # not glibc
     netcore.release_heap()
-    netcore._eval_pool()   # made first: making it looks malloc_trim up
     monkeypatch.setattr(netcore, "_malloc_trim", trims.append)
     netcore.release_heap()
     assert trims == [0]
