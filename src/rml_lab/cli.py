@@ -252,13 +252,13 @@ def emit_curves(metrics_dir, out_dir=None) -> tuple[int, int]:
     for jl in sorted(metrics_dir.glob("**/metrics.jsonl")):
         prefix = "".join(part + "_" for part in jl.parent.relative_to(metrics_dir).parts)
         seen: set[int] = set()
-        for line in jl.read_text().splitlines():
+        for line in jl.read_bytes().splitlines():
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
+            try:   # a line that is not UTF-8 is a UnicodeDecodeError, a ValueError
+                rec = json.loads(line.decode("utf-8"))
                 it = int(rec["iteration"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError):
                 warnings += 1
                 continue
             if it in seen:

@@ -42,14 +42,17 @@ def read_idx(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated IDX dims at offset {len(raw)}")
     dims = struct.unpack(f">{ndim}I", raw[4:header_end])
     dtype = np.dtype(_IDX_DTYPES[dtype_code])
-    numel = int(np.prod(dims)) if ndim else 1
+    numel = math.prod(dims)
     expected = header_end + numel * dtype.itemsize
     if len(raw) != expected:
         raise FormatError(
             f"{path}: payload size mismatch at offset {header_end} "
             f"(have {len(raw) - header_end} bytes, need {numel * dtype.itemsize})"
         )
-    arr = np.frombuffer(raw, dtype=dtype, offset=header_end).reshape(dims)
+    try:   # an empty payload may still name more dims or entries than numpy allows
+        arr = np.frombuffer(raw, dtype=dtype, offset=header_end).reshape(dims)
+    except ValueError:
+        raise FormatError(f"{path}: impossible IDX dims at offset 4") from None
     # normalize big-endian floats/ints to native order for computation
     return arr.astype(arr.dtype.newbyteorder("=")) if arr.dtype.byteorder == ">" else arr.copy()
 

@@ -8,25 +8,12 @@ from .errors import InputError
 from .netcore import class_sum
 
 
-def _check_prob(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p)
-    if (float(p.min(initial=0.0)) < -1e-9
-            or np.any(np.abs(p.sum(axis=-1, dtype=np.float64) - 1.0) > 1e-4)):
-        raise InputError(f"{name} is not a valid probability tensor")
-    return p
-
-
 def tv_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-pixel TV distance ``0.5 * sum_k |p_k - q_k|`` in float64, of rows it does not check."""
     if p.shape != q.shape:
         raise InputError(f"shape mismatch: {p.shape} vs {q.shape}")
     d = np.subtract(p, q, dtype=np.float64)
     return 0.5 * class_sum(np.abs(d, out=d))[..., 0]
-
-
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Mean per-pixel total variation distance: the mean of :func:`tv_rows`."""
-    return float(tv_rows(_check_prob(p, "p"), _check_prob(q, "q")).mean())
 
 
 def confusion_matrix(pred: np.ndarray, gt: np.ndarray, k: int) -> np.ndarray:

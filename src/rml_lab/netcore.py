@@ -5,10 +5,10 @@ patch attention) with hand-written backprop, configurable dropout and
 stochastic depth, plain SGD and EMA parameter updates, and a little-endian
 binary checkpoint format, on numpy; there is no general autodiff.
 
-A model is its :class:`ArchSpec`, K, C, params and :class:`NoiseConfig`;
-the noise is part of the evaluated model, since an eval-mode forward scales
-each residual branch by its stochastic-depth survival. A checkpoint stores
-all of it (see :func:`load_checkpoint`).
+A model is its :class:`ArchSpec`, K, C, params and :class:`NoiseConfig`, all
+stored in a checkpoint. A forward is eval or train by its call: every forward
+over :func:`eval_chunks` draws nothing and scales each residual branch by its
+survival; the one train forward, :func:`loss_and_gradients`, draws from ``rng``.
 
 A model computes in the dtype of its params: float32 as
 :func:`build_model` makes them, float64 once its params are cast (the
@@ -33,7 +33,7 @@ its shape and its range: a term's loss gathers ``log p`` at the label, and
 its logit gradient is ``p`` with 1 taken off at the label. Those are the
 bits of the one-hot formulas ``-sum_k y_k log p_k`` and ``p - y``.
 
-Eval-mode forwards run over chunks of whole images, about ``EVAL_CHUNK_ROWS`` rows each
+Eval forwards run over chunks of whole images, about ``EVAL_CHUNK_ROWS`` rows each
 on the grid of the pass's model with the most rows an image. So a large batch never builds
 one big im2col patch matrix (75 MB per conv layer at 256 images of 16x16 with 16 channels)
 that must be faulted in on every call, and an attn model alone takes p*p times the images
@@ -44,12 +44,12 @@ chunk's output is bitwise that of a forward over the whole batch (see tests/test
 and tests/test_grid.py). :func:`eval_chunks`, the one chunk runner, hands each chunk's
 outputs of one or more models to a consumer's function, so consumers reduce inside the
 chunks (confusion counts, TV rows) and build no ``(N, H, W, K)`` array;
-``NetModel.forward`` concatenates them. The one train-mode forward, that of
-:func:`loss_and_gradients`, is not chunked, so its random draws are unchanged.
+``NetModel.forward`` concatenates them. The train forward is not chunked, so its
+random draws are those of one forward over its whole batch.
 
 The caller and up to one worker per other usable CPU each take the next
 chunk until none is left. No chunk's bits depend on which thread ran it,
-and eval mode draws nothing, so the result is the same at any worker
+and an eval forward draws nothing, so the result is the same at any worker
 count; a single-chunk pass, such as a teacher's prediction for a training
 step's batch of 4, runs on the caller alone. The workers share one thread
 pool, made on first use.
@@ -80,7 +80,7 @@ peak RSS by about 6%. A training run and a baseline end with
 A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
 matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
 backward keeps that matrix for ``dw``. A forward with no backward (every
-eval-mode forward) keeps no patch matrix: each one is freed after its
+eval forward) keeps no patch matrix: each one is freed after its
 matmul, so one 16-image eval chunk never holds two. The input gradient is
 itself a 3x3 conv: of ``dy`` with the kernel flipped in both taps and
 transposed in its channels, so it is one im2col of ``dy`` and one matmul,
@@ -99,7 +99,6 @@ term's gradient work in place in a buffer the step already made.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import re
@@ -112,7 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, FormatError, InputError, InternalError, StateError, TrainingError
+from .errors import ConfigError, FormatError, InputError, InternalError, TrainingError
 
 ARCH_KINDS = ("mlp", "cnn", "attn")
 
@@ -126,8 +125,8 @@ class NoiseConfig:
     """Noise injection for a model; ``NoiseConfig()`` is no noise.
 
     Dropout acts on the last hidden layer only; stochastic depth acts on
-    residual blocks only. Eval-mode forwards draw no noise: dropout is the
-    identity and each residual branch is scaled by its survival.
+    residual blocks only. The train forward draws them; an eval forward draws
+    nothing: dropout is the identity, each residual branch scaled by its survival.
     """
 
     dropout_rate: float = 0.0
@@ -161,42 +160,36 @@ class ArchSpec:
 class NetModel:
     """A small network: feature extractor plus linear per-pixel classifier."""
 
+    # inert: only benchmarks/workloads.py's eval_predictions reads, sets and restores
+    # ``mode`` and calls ``eval()``; no forward reads either
+    mode = "eval"
+
+    def eval(self) -> "NetModel":
+        return self
+
     def __init__(self, arch: ArchSpec, num_classes: int, feature_dim: int,
-                 noise: NoiseConfig, params: dict[str, np.ndarray], mode: str = "train"):
+                 noise: NoiseConfig, params: dict[str, np.ndarray]):
         self.arch = arch
         self.num_classes = num_classes
         self.feature_dim = feature_dim
         self.noise = noise
         self.params = params
-        self.mode = mode
 
     @property
     def dtype(self) -> np.dtype:
         """The compute dtype: that of the params."""
         return self.params["head_w"].dtype
 
-    def train(self) -> "NetModel":
-        self.mode = "train"
-        return self
-
-    def eval(self) -> "NetModel":
-        self.mode = "eval"
-        return self
-
     def clone(self) -> "NetModel":
-        return NetModel(
-            self.arch, self.num_classes, self.feature_dim, self.noise,
-            {k: v.copy() for k, v in self.params.items()}, self.mode,
-        )
+        return NetModel(self.arch, self.num_classes, self.feature_dim, self.noise,
+                        {k: v.copy() for k, v in self.params.items()})
 
     def grid_forward(self, x: np.ndarray):
-        """The eval-mode forward: ``(features, logits)`` on the model's grid, over its chunks.
+        """The eval forward: ``(features, logits)`` on the model's grid, over its chunks.
 
-        Pure: it draws no noise, and the batch runs in chunks of whole
-        images, on the caller and the process's spare CPUs, with the same
-        bits at any worker count (see the module docstring). A model in
-        train mode is a StateError; every training forward is the one
-        :func:`loss_and_gradients` makes.
+        Pure: it draws no noise and scales each residual branch by its survival.
+        The batch runs in chunks of whole images, on the caller and the spare
+        CPUs, with the same bits at any worker count (see the module docstring).
         """
         outs = eval_chunks((self,), x, lambda rows, out: out, feats=True)
         return outs[0] if len(outs) == 1 else tuple(np.concatenate(a) for a in zip(*outs))
@@ -207,19 +200,6 @@ class NetModel:
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
-
-
-@contextlib.contextmanager
-def eval_mode(*models):
-    """Every model in eval mode inside the block, and in its own mode again after it."""
-    was = [m.mode for m in models]
-    for m in models:
-        m.eval()
-    try:
-        yield
-    finally:
-        for m, mode in zip(models, was):
-            m.mode = mode
 
 
 def _spare_cpus() -> int:
@@ -284,13 +264,11 @@ def release_heap() -> None:
 
 def eval_chunks(models, x: np.ndarray, fn, feats: bool = False) -> list:
     """``fn(rows, *outs)`` of each eval chunk ``x[rows]`` of whole images, in chunk
-    order; ``outs`` holds each eval-mode model's logits of the chunk on its grid,
+    order; ``outs`` holds each model's eval-forward logits of the chunk on its grid,
     or its ``(features, logits)`` with ``feats``. The caller and the spare CPUs' workers
     each take the next chunk until none is left. An error, in a forward or in
     ``fn``, leaves the chunks not yet taken undone and is raised once every
     thread has stopped: the caller's own, else the first worker's in submission order."""
-    if any(m.mode != "eval" for m in models):
-        raise StateError("forward needs a model in eval mode")
     xs = [_check_input(m, x) for m in models]
     n, h, w, _ = xs[0].shape
     rows = max(h * w // (m.arch.patch ** 2 if m.arch.kind == "attn" else 1) for m in models)
@@ -309,7 +287,7 @@ def eval_chunks(models, x: np.ndarray, fn, feats: bool = False) -> list:
                     return
                 rows = slice(bounds[i], bounds[i + 1])
                 # a generator, so features not asked for are freed before fn runs
-                fwd = (_forward(m, xm[rows], None, want_cache=False) for m, xm in zip(models, xs))
+                fwd = (_forward(m, xm[rows], None, False) for m, xm in zip(models, xs))
                 outs[i] = fn(rows, *(f[:2] if feats else f[1] for f in fwd))
         except BaseException:
             todo.clear()
@@ -352,7 +330,7 @@ def _param_shapes(spec: ArchSpec, K: int, C: int) -> dict[str, tuple[int, ...]]:
 
 def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), seed: int = 0,
                 in_channels: int = 3, hidden: int = 64, patch: int = 2) -> NetModel:
-    """Build an initialized float32 model of architecture ``kind`` in train mode.
+    """A float32 model of architecture ``kind``, for eval and train forwards alike.
 
     Weights are Glorot uniform (``±sqrt(6/(fan_in+fan_out))``) drawn in
     float64 from ``np.random.default_rng(seed)`` in a fixed parameter order
@@ -364,7 +342,7 @@ def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), s
     rng = np.random.default_rng(seed)
     params = {name: (_glorot(rng, shape) if len(shape) == 2 else np.zeros(shape))
               .astype(np.float32) for name, shape in _param_shapes(spec, K, C).items()}
-    return NetModel(spec, K, C, noise, params, mode="train")
+    return NetModel(spec, K, C, noise, params)
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +368,28 @@ def _check_input(m: NetModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _dropout(m: NetModel, x: np.ndarray, rng):
+def _dropout(m: NetModel, x: np.ndarray, rng, train: bool):
     """Inverted dropout on the last hidden layer. Returns (y, mask_or_None)."""
     rate = m.noise.dropout_rate
-    if m.mode != "train" or rate == 0.0:
+    if not train or rate == 0.0:
         return x, None
     if rate >= 1.0:
         return np.zeros_like(x), np.zeros_like(x)
     if rng is None:
-        raise InputError("rng required in train mode with dropout enabled")
+        raise InputError("a train forward with dropout needs an rng")
     mask = (rng.random(x.shape) >= rate) * x.dtype.type(1.0 / (1.0 - rate))
     return x * mask, mask
 
 
-def _sd_gate(m: NetModel, n: int, rng):
+def _sd_gate(m: NetModel, n: int, rng, train: bool):
     """Per-sample stochastic-depth gate for one residual block, shape (n,1,1,1)."""
     p = m.noise.stochastic_depth_survival
     if p >= 1.0:
         return np.ones((n, 1, 1, 1), m.dtype)
-    if m.mode == "eval":
+    if not train:
         return np.full((n, 1, 1, 1), p, m.dtype)
     if rng is None:
-        raise InputError("rng required in train mode with stochastic depth enabled")
+        raise InputError("a train forward with stochastic depth needs an rng")
     return (rng.random((n, 1, 1, 1)) < p).astype(m.dtype)
 
 
@@ -517,7 +495,7 @@ def pixels(m: NetModel, a: np.ndarray) -> np.ndarray:
                            (n, th, pp, tw, pp, *c)).reshape(n, th * pp, tw * pp, *c)
 
 
-def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
+def _forward(m: NetModel, x: np.ndarray, rng, train: bool):
     """``(features, logits, cache)``, the outputs on ``m``'s grid (see :func:`pixels`)."""
     x = _check_input(m, x)
     p = m.params
@@ -527,30 +505,30 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
         h1 = np.maximum(z1, 0.0, out=z1)
         z2 = _pixelwise(h1, p["fc2_w"], p["fc2_b"])
         feats = np.maximum(z2, 0.0, out=z2)
-        fdrop, dmask = _dropout(m, feats, rng)
+        fdrop, dmask = _dropout(m, feats, rng, train)
         logits = _pixelwise(fdrop, p["head_w"], p["head_b"])
-        if want_cache:
+        if train:
             cache.update(h1=h1, feats=feats, fdrop=fdrop, dmask=dmask)
     elif m.arch.kind == "cnn":
         # stem conv, then two residual blocks x + gate*conv3(relu(x))
         def conv(a, layer, key):
             y, cols = _conv3(a, p[layer + "_w"], p[layer + "_b"])
-            if want_cache:   # a backward needs it; else it dies with this call
+            if train:   # a backward needs it; else it dies with this call
                 cache[key] = cols
             return y
 
         c1 = conv(x, "conv1", "cols1")
         h0 = np.maximum(c1, 0.0)
-        g1 = _sd_gate(m, x.shape[0], rng)
+        g1 = _sd_gate(m, x.shape[0], rng, train)
         c2 = conv(h0, "block1", "cols2")
         b1 = h0 + g1 * c2
-        g2 = _sd_gate(m, x.shape[0], rng)
+        g2 = _sd_gate(m, x.shape[0], rng, train)
         r2 = np.maximum(b1, 0.0)
         c3 = conv(r2, "block2", "cols3")
         feats = b1 + g2 * c3
-        fdrop, dmask = _dropout(m, feats, rng)
+        fdrop, dmask = _dropout(m, feats, rng, train)
         logits = _pixelwise(fdrop, p["head_w"], p["head_b"])
-        if want_cache:
+        if train:
             cache.update(c1=c1, h0=h0, g1=g1, b1=b1, g2=g2, r2=r2, feats=feats,
                          fdrop=fdrop, dmask=dmask)
     else:  # attn
@@ -573,17 +551,17 @@ def _forward(m: NetModel, x: np.ndarray, rng, want_cache: bool):
         ctx = np.matmul(attn, v)
         out = ctx @ p["out_w"]
         out += p["out_b"]
-        gate = _sd_gate(m, n, rng)[:, :, :, 0]  # (n,1,1), broadcasts over tokens
+        gate = _sd_gate(m, n, rng, train)[:, :, :, 0]  # (n,1,1), broadcasts over tokens
         z = emb + gate * out
-        fdrop_tok, dmask = _dropout(m, z, rng)
+        fdrop_tok, dmask = _dropout(m, z, rng, train)
         logits = fdrop_tok @ p["head_w"]
         logits += p["head_b"]
         feats, logits = z.reshape(n, th, tw, -1), logits.reshape(n, th, tw, -1)
-        if want_cache:
+        if train:
             cache.update(tokens=tokens, emb=emb, q=q, k=k, v=v, scale=scale,
                          attn=attn, ctx=ctx, gate=gate, z=z, fdrop=fdrop_tok,
                          dmask=dmask, tshape=(th, tw))
-    return feats, logits, (cache if want_cache else None)
+    return feats, logits, (cache if train else None)
 
 
 def _backward(m: NetModel, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
@@ -663,7 +641,7 @@ def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
     gradients of the sum of the per-term losses; when no term has a pixel
     they are zero.
     """
-    _, logits, cache = _forward(m, x, rng, want_cache=True)
+    _, logits, cache = _forward(m, x, rng, True)
     logits = pixels(m, logits)
     k = logits.shape[-1]
     logp = log_softmax(logits)
@@ -809,10 +787,10 @@ class _Reader:
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(NetModel, extra_tensors)``.
 
-    The model is in eval mode, with the architecture, noise and params it
-    was saved with, in their saved dtype, so it evaluates exactly as the
-    saved model did. The params must be those the architecture, K and C
-    name, in their shapes, in one dtype and finite.
+    The model has the architecture, noise and params it was saved with, in
+    their saved dtype, so its eval and train forwards are the saved model's.
+    The params must be those the architecture, K and C name, in their shapes,
+    in one dtype and finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -870,4 +848,4 @@ def load_checkpoint(path):
     for name, t in params.items():   # as sgd_step keeps every trained param
         if not np.isfinite(t).all():
             raise FormatError(f"param {name} in checkpoint {path} is not finite")
-    return NetModel(spec, k, c, noise, params, mode="eval"), extra
+    return NetModel(spec, k, c, noise, params), extra

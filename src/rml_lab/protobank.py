@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StateError
-from .netcore import class_max, class_sum, eval_mode
+from .netcore import class_max, class_sum
 
 INIT_BATCH = 64   # images per forward when init_bank computes its prototypes
 
@@ -95,16 +95,15 @@ def init_bank(model, labeled, unlabeled, k: int, lam: float) -> PrototypeBank:
 
     Labeled pixels contribute under their ground-truth class; unlabeled
     pixels under the model's argmax prediction. Features and predictions
-    come from clean images in eval mode.
+    come from eval forwards of clean images.
     """
     parts = []
-    with eval_mode(model):
-        for ds, use_gt in ((labeled, True), (unlabeled, False)):
-            for start in range(0, len(ds), INIT_BATCH):
-                feats, logits = model.forward(ds.images[start:start + INIT_BATCH])
-                assign = (ds.labels[start:start + INIT_BATCH] if use_gt
-                          else logits.argmax(axis=-1))
-                parts.append(_class_sums(feats, assign, k))
+    for ds, use_gt in ((labeled, True), (unlabeled, False)):
+        for start in range(0, len(ds), INIT_BATCH):
+            feats, logits = model.forward(ds.images[start:start + INIT_BATCH])
+            assign = (ds.labels[start:start + INIT_BATCH] if use_gt
+                      else logits.argmax(axis=-1))
+            parts.append(_class_sums(feats, assign, k))
     if not parts:
         raise InputError("init_bank needs at least one nonempty dataset")
     sums = sum(s for s, _ in parts)

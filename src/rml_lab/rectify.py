@@ -66,7 +66,7 @@ class StagePseudoStore:
 
 def teacher_predict(teacher, x: np.ndarray, weak_strength: float,
                     rng) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode teacher features and logits on ``x`` perturbed at ``weak_strength``,
+    """Eval-forward teacher features and logits on ``x`` perturbed at ``weak_strength``,
     on the teacher's grid; a caller that needs probabilities takes their softmax."""
     return teacher.grid_forward(photometric(x, weak_strength, rng))
 

@@ -18,7 +18,7 @@ both training and the pseudo-accuracy metric:
   teacher (prototype or teacher-softmax confidence);
 - ``iml`` and ``iml_noise``: the learner's mean teacher's prediction,
   hardened;
-- ``direct_ml``: the learner's own student's eval-mode prediction,
+- ``direct_ml``: the learner's own student's eval-forward prediction,
   hardened; it trains on its peer's labels only.
 """
 
@@ -41,7 +41,6 @@ from .netcore import (
     build_model,
     ema_params,
     eval_chunks,
-    eval_mode,
     loss_and_gradients,
     pixels,
     release_heap,
@@ -246,12 +245,11 @@ def _build_learner(cfg: RmlConfig, i: int, k: int, images, labels, seed) -> NetM
 
 
 def eval_confusion(model: NetModel, ds: Dataset, k: int, limit: int | None = None):
-    """``[gt, pred]`` counts per pixel of ``model``'s eval-mode argmax on clean images,
+    """``[gt, pred]`` counts per pixel of ``model``'s eval-forward argmax on clean images,
     taken on its grid: the sum of each :func:`netcore.eval_chunks` chunk's own counts."""
     labels = ds.labels[:limit]
-    with eval_mode(model):
-        return sum(eval_chunks([model], ds.images[:limit], lambda rows, logits: confusion_matrix(
-            pixels(model, softmax(logits).argmax(axis=-1)), labels[rows], k)))
+    return sum(eval_chunks([model], ds.images[:limit], lambda rows, logits: confusion_matrix(
+        pixels(model, softmax(logits).argmax(axis=-1)), labels[rows], k)))
 
 
 def evaluate_model(model: NetModel, ds: Dataset, k: int, limit: int | None = None):
@@ -349,8 +347,7 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
             for p, m, z in zip(p0, models, logits):
                 p[rows] = pixels(m, softmax(z))
 
-        with eval_mode(*models):
-            eval_chunks(models, unlabeled.images, fill)
+        eval_chunks(models, unlabeled.images, fill)
         if stage > 1 and not shared:
             # average in place: no third (N,H,W,K) array at the peak
             p0[0] += p0[1]
@@ -358,7 +355,7 @@ def init_stage(baselines, labeled: Dataset, unlabeled: Dataset, cfg: RmlConfig,
             del p0[1]
         per = [StagePseudoStore(unlabeled.ids, p, stage) for p in p0]
         stores = [per[0], per[-1]]
-    return [Learner(base.clone().train(), base.clone().eval(), bank, store, *streams)
+    return [Learner(base.clone(), base.clone(), bank, store, *streams)
             for base, bank, store, streams in zip(baselines, banks, stores, rngs)]
 
 
@@ -387,8 +384,7 @@ def pseudo_labels(learner: Learner, x: np.ndarray, ids, cfg: RmlConfig,
         return rectified_labels(learner.teacher, x, ids, learner.bank, learner.store,
                                 cfg.weak_strength, cfg.tau, rng, cfg.confidence_source)
     model = learner.student if cfg.variant == "direct_ml" else learner.teacher
-    with eval_mode(model):
-        feats, logits = teacher_predict(model, x, cfg.weak_strength, rng)
+    feats, logits = teacher_predict(model, x, cfg.weak_strength, rng)
     y = harden_with_threshold(softmax(logits), cfg.tau)   # on the model's grid
     return (HardLabels(pixels(model, y.labels), pixels(model, y.valid), y.num_classes),
             pixels(model, feats), 0)
@@ -488,8 +484,7 @@ def _pair_tv(models, eval_set: Dataset, k: int, limit: int):
         return ([confusion_matrix(pixels(m, p.argmax(axis=-1)), labels[rows], k) for m, p in probs],
                 tv_rows(*(pixels(m, p) for m, p in probs)))
 
-    with eval_mode(*models):
-        parts = eval_chunks(models, eval_set.images[:limit], score)
+    parts = eval_chunks(models, eval_set.images[:limit], score)
     scores = [segmentation_scores(sum(confs[i] for confs, _ in parts)) for i in range(2)]
     tv = float(np.concatenate([rows for _, rows in parts]).mean())
     return [s[1] for s in scores], [s[2] for s in scores], tv

@@ -4,7 +4,7 @@ import numpy as np
 
 from rml_lab.errors import InputError
 from rml_lab import netcore
-from rml_lab.metrics import confusion_matrix, segmentation_scores
+from rml_lab.metrics import confusion_matrix, segmentation_scores, tv_rows
 from rml_lab.netcore import softmax
 
 
@@ -119,14 +119,9 @@ def upsample_tokens(tok, th, tw, pp):
 
 
 def pixel_outputs(model, images):
-    """Eval-mode ``(features, logits)`` per pixel from one forward of the whole
-    batch, attention's token rows repeated by :func:`upsample_tokens`, with
-    the model's mode restored."""
-    was = model.mode
-    try:
-        outs = netcore._forward(model.eval(), images, None, want_cache=False)[:2]
-    finally:
-        model.mode = was
+    """Eval ``(features, logits)`` per pixel from one forward of the whole
+    batch, attention's token rows repeated by :func:`upsample_tokens`."""
+    outs = netcore._forward(model, images, None, False)[:2]
     if model.arch.kind != "attn":
         return outs
     n, th, tw, _ = outs[0].shape
@@ -135,8 +130,7 @@ def pixel_outputs(model, images):
 
 
 def soft_predictions(model, images):
-    """Eval-mode softmax predictions per pixel of ``model`` over the whole
-    batch at once, with the model's mode restored."""
+    """Eval softmax predictions per pixel of ``model`` over the whole batch at once."""
     return softmax(pixel_outputs(model, images)[1])
 
 
@@ -145,3 +139,13 @@ def whole_scores(model, images, labels, k):
     :func:`soft_predictions`."""
     return segmentation_scores(confusion_matrix(soft_predictions(model, images).argmax(-1),
                                                 labels, k))
+
+
+def tv_distance(p, q):
+    """Mean per-pixel TV distance of two probability tensors, each checked to
+    hold rows of probabilities: the mean of ``tv_rows``, as the run logs it."""
+    for a in (p, q):
+        sums = a.sum(axis=-1, dtype=np.float64)
+        if a.min(initial=0.0) < -1e-9 or np.any(np.abs(sums - 1.0) > 1e-4):
+            raise InputError("not a probability tensor")
+    return float(tv_rows(p, q).mean())

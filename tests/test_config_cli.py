@@ -468,6 +468,15 @@ def test_emit_curves_orders_and_dedups(tmp_path, capsys):
     assert (tmp_path / "curves" / "loss_labeled_2.csv").exists()
 
 
+def test_emit_curves_counts_a_line_that_is_not_utf8_as_one_warning(tmp_path, capsys):
+    (tmp_path / "metrics.jsonl").write_bytes(
+        b'{"iteration": 10, "lr": 0.1}\n\xff\xfe\n{"iteration": 20, "lr": 0.2}\n')
+    assert cli.main(["emit-curves", "--metrics", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"series": 1, "warnings": 1}
+    rows = (tmp_path / "curves" / "lr.csv").read_text().splitlines()
+    assert rows == ["iteration,value", "10,0.1", "20,0.2"]
+
+
 def test_emit_curves_three_records(tmp_path, capsys):
     with open(tmp_path / "metrics.jsonl", "w") as fh:
         for it in (10, 20, 30):
@@ -698,7 +707,7 @@ def test_arch_pair_takes_architecture_kinds_only(tmp_path, capsys, pair):
 
 
 def test_noisy_run_checkpoints_evaluate_like_the_run(tmp_path, capsys):
-    # dropout 0.5 and survival 0.8 (the defaults): the eval-mode forward scales
+    # dropout 0.5 and survival 0.8 (the defaults): an eval forward scales
     # each residual branch of the cnn and the attn by 0.8, so a checkpoint must
     # carry the noise and the params in their dtype to score what the in-run
     # model scored
@@ -878,6 +887,27 @@ def test_labels_that_disagree_with_their_images_are_one_format_error(
     assert captured.out == "" and len(err) == 1, err
     assert err[0].startswith("error:format:") and str(bad / name) in err[0], err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", [(65536,) * 4, (0,) + (65536,) * 4],
+                         ids=["2**64-entries", "empty-but-too-big"])
+def test_idx_dims_past_any_array_are_one_format_error(small_checkpoint, tmp_path, capsys,
+                                                      dims):
+    # 65536**4 entries are 2**64, 0 in int64 arithmetic, and an empty payload
+    # must still fail the size check; an empty one naming such dims has no shape
+    data, _, blob = small_checkpoint
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(blob)
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    (bad / "labels.idx").write_bytes(bytes([0, 0, 0x08, len(dims)])
+                                     + struct.pack(f">{len(dims)}I", *dims))
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(bad)])
+    assert rc == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith("error:format:") and str(bad / "labels.idx") in err[0], err[0]
 
 
 IDX_NAMES = ("images.idx", "labels.idx", "eval_images.idx", "eval_labels.idx")

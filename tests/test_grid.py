@@ -17,13 +17,13 @@ import pytest
 from rml_lab import netcore, trainer
 from rml_lab.augment import photometric
 from rml_lab.data import Dataset
-from rml_lab.metrics import confusion_matrix, segmentation_scores, tv_distance
+from rml_lab.metrics import confusion_matrix, segmentation_scores
 from rml_lab.netcore import NoiseConfig, build_model, pixels, softmax
 from rml_lab.protobank import batch_prototypes, confidence_weights, new_bank, update_bank
 from rml_lab.rectify import StagePseudoStore, denoise, harden_with_threshold, rectified_labels
 from rml_lab.trainer import Learner, RmlConfig, init_stage, pseudo_labels, unlabeled_step
 
-from oracles import pixel_outputs, soft_predictions, upsample_tokens
+from oracles import pixel_outputs, soft_predictions, tv_distance, upsample_tokens
 
 K = 6
 C = 8
@@ -42,7 +42,7 @@ def spare(request, monkeypatch):
 
 
 def model(kind, patch=2, seed=3):
-    """A noisy model in train mode, as a baseline or a student is."""
+    """A noisy model, as a baseline or a student is."""
     return build_model(kind, K=K, C=C, noise=NOISY, seed=seed, in_channels=3, patch=patch)
 
 
@@ -91,7 +91,7 @@ def test_pixels_repeats_each_token_over_its_patch(patch):
     assert_same_bits(pixels(m, labels),
                      upsample_tokens(labels.reshape(3, th * tw, 1), th, tw, patch)[..., 0])
     x = images(5)
-    feats, logits = m.eval().grid_forward(x)
+    feats, logits = m.grid_forward(x)
     assert feats.shape == (5, th, tw, C) and logits.shape == (5, th, tw, K)
     for got, want in zip(m.forward(x), pixel_outputs(m, x)):
         assert_same_bits(got, want)
@@ -99,7 +99,7 @@ def test_pixels_repeats_each_token_over_its_patch(patch):
 
 @pytest.mark.parametrize("kind", ["cnn", "mlp"])
 def test_pixels_is_the_identity_for_cnn_and_mlp(kind):
-    m = model(kind).eval()
+    m = model(kind)
     rows = np.random.default_rng(1).random((3, H, W, 5))
     assert pixels(m, rows) is rows
     x = images(5)
@@ -117,7 +117,7 @@ def test_pixels_is_the_identity_for_cnn_and_mlp(kind):
 @pytest.mark.parametrize("n", [1, 4, 37])
 @pytest.mark.parametrize("patch", [2, 4])
 def test_confidence_weights_on_tokens_are_the_pixel_weights(patch, n, unseen):
-    m = model("attn", patch).eval()
+    m = model("attn", patch)
     feats = m.grid_forward(images(n, seed=n))[0]
     bank = bank_near(feats, unseen, seed=n)
     th, tw = feats.shape[1:3]
@@ -146,7 +146,7 @@ def stage_store(n, ids, seed=0):
 @pytest.mark.parametrize("source", ["prototype", "teacher_softmax"])
 @pytest.mark.parametrize("kind,patch", MODELS, ids=IDS)
 def test_rectified_labels_are_the_pixel_path(kind, patch, source):
-    teacher = model(kind, patch).eval()
+    teacher = model(kind, patch)
     n, ids, tau = 6, np.arange(10, 16), 0.3
     x = images(n, seed=2)
     store = stage_store(n, ids)
@@ -166,7 +166,7 @@ def test_rectified_labels_are_the_pixel_path(kind, patch, source):
 @pytest.mark.parametrize("variant", ["iml", "direct_ml"])
 @pytest.mark.parametrize("kind,patch", MODELS, ids=IDS)
 def test_unrectified_pseudo_labels_are_the_pixel_path(kind, patch, variant):
-    student, teacher = model(kind, patch, seed=3), model(kind, patch, seed=4).eval()
+    student, teacher = model(kind, patch, seed=3), model(kind, patch, seed=4)
     learner = Learner(student, teacher, None, None, None, None, None)
     x, tau = images(6, seed=3), 0.3
     labels, feats, fallback = pseudo_labels(learner, x, np.arange(6),
@@ -179,7 +179,6 @@ def test_unrectified_pseudo_labels_are_the_pixel_path(kind, patch, variant):
     assert_same_bits(labels.valid, want.valid)
     assert labels.num_classes == K and fallback == 0
     assert_same_bits(feats, f)
-    assert student.mode == "train"
 
 
 def test_bank_update_takes_pixel_features_of_the_labeled_batch():
@@ -193,7 +192,7 @@ def test_bank_update_takes_pixel_features_of_the_labeled_batch():
     store = stage_store(2 * n, np.arange(2 * n))
     learners = []
     for i, kind in enumerate(("attn", "mlp")):
-        teacher = model(kind, seed=20 + i).eval()
+        teacher = model(kind, seed=20 + i)
         bank = bank_near(pixel_outputs(teacher, lx)[0], unseen=(K - 1,), seed=i)
         learners.append(Learner(model(kind, seed=20 + i), teacher, bank, store,
                                 *(np.random.default_rng(30 + 3 * i + j) for j in range(3))))
@@ -229,7 +228,7 @@ def test_bank_update_takes_pixel_features_of_the_labeled_batch():
 def test_a_chunk_holds_the_grid_rows_of_its_finest_model(peers, per_chunk, monkeypatch):
     # 4096 rows of the grid with the most rows an image: 24 attn tokens at
     # patch 2, 6 at patch 4, 96 pixels
-    models = [model(kind, patch).eval() for kind, patch in peers]
+    models = [model(kind, patch) for kind, patch in peers]
     sizes = []
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 0)
     netcore.eval_chunks(models, images(2 * per_chunk + 5),
@@ -243,7 +242,6 @@ def test_eval_confusion_counts_the_pixel_argmax(kind, patch, spare):
     want = confusion_matrix(soft_predictions(m, ds.images).argmax(-1), ds.labels, K)
     assert_same_bits(trainer.eval_confusion(m, ds, K), want)
     assert repr(trainer.evaluate_model(m, ds, K)) == repr(segmentation_scores(want)[1:])
-    assert m.mode == "train"
 
 
 PAIRS = {"attn-mlp": (("attn", 2), ("mlp", 2)), "attn-attn": (("attn", 2), ("attn", 2)),

@@ -46,7 +46,6 @@ def step():
 
 train = faults(step, 50)
 ds = Dataset(rng.random((256, 16, 16, 3)), rng.integers(0, 6, (256, 16, 16)), np.arange(256))
-m.eval()
 evaluate = faults(lambda: eval_confusion(m, ds, 6), 5)
 print(json.dumps({"train": train, "eval": evaluate, "pool": netcore._pool is not None,
                   "trim": netcore._malloc_trim is not None}))

@@ -10,7 +10,7 @@ from rml_lab.metrics import (
     confusion_matrix,
     pseudo_accuracy,
     segmentation_scores,
-    tv_distance,
+    tv_rows,
 )
 
 
@@ -40,7 +40,7 @@ def counting_oracle(pred, gt, k):
 
 def test_tv_identity():
     p = np.full((2, 1, 1, 4), 0.25)
-    assert tv_distance(p, p) == 0.0
+    assert tv_rows(p, p).tolist() == [[[0.0]], [[0.0]]]
 
 
 def test_tv_disjoint_onehots():
@@ -48,29 +48,29 @@ def test_tv_disjoint_onehots():
     q = np.zeros((1, 1, 1, 3))
     p[..., 0] = 1
     q[..., 1] = 1
-    assert tv_distance(p, q) == 1.0
+    assert tv_rows(p, q).tolist() == [[[1.0]]]
 
 
 def test_tv_half():
     p = np.array([[[[0.5, 0.5]]]])
     q = np.array([[[[1.0, 0.0]]]])
-    assert tv_distance(p, q) == pytest.approx(0.5)
+    assert tv_rows(p, q).tolist() == [[[0.5]]]
 
 
 def test_tv_shape_mismatch():
     with pytest.raises(InputError):
-        tv_distance(np.full((1, 1, 1, 2), 0.5), np.full((1, 1, 1, 3), 1 / 3))
+        tv_rows(np.full((1, 1, 1, 2), 0.5), np.full((1, 1, 1, 3), 1 / 3))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_tv_equals_the_float64_copy_formula_bit_for_bit(dtype):
-    # the run logs tv_teachers and tv_students from float32 soft predictions
+    # the run logs tv_teachers and tv_students, the mean of float32 soft predictions' rows
     rng = np.random.default_rng(11)
     p, q = (rng.random((5, 8, 8, 6)) for _ in range(2))
     p, q = ((a / a.sum(axis=-1, keepdims=True)).astype(dtype) for a in (p, q))
     p64, q64 = p.astype(np.float64), q.astype(np.float64)
     want = float(0.5 * np.abs(p64 - q64).sum(axis=-1).mean())
-    assert repr(tv_distance(p, q)) == repr(want)
+    assert repr(float(tv_rows(p, q).mean())) == repr(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -82,10 +82,11 @@ def test_tv_metric_axioms(seed):
     q = rng.random(shape) + 1e-6
     p /= p.sum(axis=-1, keepdims=True)
     q /= q.sum(axis=-1, keepdims=True)
-    d = tv_distance(p, q)
-    assert 0.0 <= d <= 1.0
-    assert d == pytest.approx(tv_distance(q, p), abs=1e-12)
-    assert tv_distance(p, p) == 0.0
+    d = tv_rows(p, q)
+    assert d.shape == shape[:-1]
+    assert ((0.0 <= d) & (d <= 1.0)).all()
+    np.testing.assert_allclose(d, tv_rows(q, p), rtol=0, atol=1e-12)
+    assert not tv_rows(p, p).any()
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from rml_lab import netcore
+from rml_lab.augment import photometric
 from rml_lab.errors import (
     ConfigError,
     FormatError,
     InputError,
     InternalError,
-    StateError,
     TrainingError,
 )
 from rml_lab.netcore import (
@@ -33,6 +33,7 @@ from rml_lab.netcore import (
     sgd_step,
     softmax,
 )
+from rml_lab.rectify import teacher_predict
 
 from oracles import cross_entropy, float64_copy, loss_terms, upsample_tokens
 
@@ -111,7 +112,7 @@ def test_float32_model_computes_in_float32(kind):
     assert {w.dtype for w in m.params.values()} == {np.dtype(np.float32)}
     assert m.dtype == np.float32
     x = small_input(kind)   # float64 input is cast to the model's dtype
-    feats, logits, cache = netcore._forward(m, x, np.random.default_rng(0), want_cache=True)
+    feats, logits, cache = netcore._forward(m, x, np.random.default_rng(0), True)
     arrays = [feats, logits] + [v for v in cache.values() if isinstance(v, np.ndarray)]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     assert softmax(logits).dtype == np.float32
@@ -120,7 +121,7 @@ def test_float32_model_computes_in_float32(kind):
     (loss,), grads = loss_and_gradients(m, x, [(t, mask)], rng=np.random.default_rng(0))
     assert np.isfinite(loss)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
-    feats, logits = m.eval().forward(x)
+    feats, logits = m.forward(x)
     assert feats.dtype == logits.dtype == np.float32
 
 
@@ -139,20 +140,20 @@ def test_float32_gradients_match_float64(kind):
 
 
 def test_mlp_logit_shape():
-    m = build_model("mlp", K=10, C=64, seed=7, in_channels=12).eval()
+    m = build_model("mlp", K=10, C=64, seed=7, in_channels=12)
     _, logits = m.forward(np.random.default_rng(0).random((1, 1, 1, 12)))
     assert logits.shape == (1, 1, 1, 10)
 
 
 def test_cnn_feature_shape():
-    m = build_model("cnn", K=5, C=16, seed=3, in_channels=3).eval()
+    m = build_model("cnn", K=5, C=16, seed=3, in_channels=3)
     feats, logits = m.forward(np.random.default_rng(0).random((1, 8, 8, 3)))
     assert feats.shape == (1, 8, 8, 16)
     assert logits.shape == (1, 8, 8, 5)
 
 
 def test_attn_feature_shape():
-    m = build_model("attn", K=4, C=8, seed=3, in_channels=3, patch=2).eval()
+    m = build_model("attn", K=4, C=8, seed=3, in_channels=3, patch=2)
     feats, logits = m.forward(np.random.default_rng(0).random((2, 6, 4, 3)))
     assert feats.shape == (2, 6, 4, 8)
     assert logits.shape == (2, 6, 4, 4)
@@ -169,7 +170,7 @@ def test_bad_arch_rejected():
 
 def test_eval_forward_is_pure():
     for kind in ("mlp", "cnn", "attn"):
-        m = small_model(kind, noise=NOISY).eval()
+        m = small_model(kind, noise=NOISY)
         x = small_input(kind)
         f1, l1 = m.forward(x)
         f2, l2 = m.forward(x)
@@ -177,25 +178,18 @@ def test_eval_forward_is_pure():
         np.testing.assert_array_equal(f1, f2)
 
 
-def whole_forward(m, x, rng=None):
-    """``(features, logits)`` per pixel of one unchunked forward in ``m``'s mode:
-    in train mode, what a loss's forward computes."""
-    return tuple(netcore.pixels(m, a) for a in netcore._forward(m, x, rng, want_cache=False)[:2])
-
-
-def test_forward_in_train_mode_is_a_state_error():
-    m = small_model("cnn")
-    for forward in (m.forward, lambda x: netcore.eval_chunks([m], x, lambda rows, z: z)):
-        with pytest.raises(StateError, match="eval mode"):
-            forward(small_input("cnn"))
+def whole_forward(m, x, rng=None, train=False):
+    """``(features, logits)`` per pixel of one unchunked forward: with ``train``,
+    what a loss's forward computes."""
+    return tuple(netcore.pixels(m, a) for a in netcore._forward(m, x, rng, train)[:2])
 
 
 def test_noise_off_train_equals_eval():
     for kind in ("mlp", "cnn", "attn"):
         m = small_model(kind, noise=NoiseConfig())
         x = small_input(kind)
-        _, lt = whole_forward(m.train(), x)
-        _, le = m.eval().forward(x)
+        _, lt = whole_forward(m, x, train=True)
+        _, le = m.forward(x)
         np.testing.assert_array_equal(lt, le)
 
 
@@ -204,8 +198,8 @@ def test_dropout_zeroed_fraction_binomial():
     m = build_model("mlp", K=2, C=10_000, seed=0, in_channels=4, hidden=8,
                     noise=NoiseConfig(dropout_rate=0.5))
     x = np.abs(np.random.default_rng(5).random((1, 1, 1, 4))) + 0.5
-    feats, _ = whole_forward(m, x, np.random.default_rng(11))
-    dropped, mask = netcore._dropout(m, feats, np.random.default_rng(11))
+    feats, _ = whole_forward(m, x, np.random.default_rng(11), train=True)
+    dropped, mask = netcore._dropout(m, feats, np.random.default_rng(11), True)
     frac = float((mask == 0).mean())
     assert abs(frac - 0.5) <= 0.02
     # surviving units are rescaled by 1/keep
@@ -215,24 +209,24 @@ def test_dropout_zeroed_fraction_binomial():
 def test_stochastic_depth_survival_one_is_identity():
     m = small_model("cnn", noise=NoiseConfig(0.0, 1.0))
     x = small_input("cnn")
-    _, lt = whole_forward(m.train(), x, np.random.default_rng(0))
-    _, le = m.eval().forward(x)
+    _, lt = whole_forward(m, x, np.random.default_rng(0), train=True)
+    _, le = m.forward(x)
     np.testing.assert_array_equal(lt, le)
 
 
 def test_train_mode_with_noise_requires_rng():
     m = small_model("mlp", noise=NOISY)
     with pytest.raises(InputError):
-        whole_forward(m, small_input("mlp"))
+        whole_forward(m, small_input("mlp"), train=True)
 
 
 def test_input_shape_errors():
-    m = small_model("cnn").eval()
+    m = small_model("cnn")
     with pytest.raises(InputError):
         m.forward(np.zeros((1, 4, 4, 7)))
     a = small_model("attn")
     with pytest.raises(InputError):
-        a.eval().forward(np.zeros((1, 5, 4, 2)))
+        a.forward(np.zeros((1, 5, 4, 2)))
 
 
 def count_chunks(monkeypatch):
@@ -253,7 +247,7 @@ def test_eval_forward_chunks_are_bitwise_whole_batch(kind, monkeypatch):
     # 16x16 images: 16 per chunk, and 64 of attn's 8x8 tokens; 37 (148) is no
     # multiple, so the last chunk takes 21 (84)
     per = 4 if kind == "attn" else 1
-    m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3).eval()
+    m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
     x = np.random.default_rng(4).random((37 * per, 16, 16, 3))
     whole_f, whole_l = whole_forward(m, x)
     sizes = count_chunks(monkeypatch)
@@ -268,10 +262,10 @@ def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
     # images per chunk, and the remainder joins the last chunk, so no chunk
     # has fewer rows than the whole-batch matmuls would (fewer rows change
     # BLAS summation here)
-    m = build_model("mlp", K=10, C=64, noise=NOISY, seed=3, in_channels=784).eval()
+    m = build_model("mlp", K=10, C=64, noise=NOISY, seed=3, in_channels=784)
     step = netcore.EVAL_CHUNK_ROWS
     x = np.random.default_rng(5).random((2 * step + 3, 1, 1, 784))
-    whole_f, whole_l, _ = netcore._forward(m, x, None, want_cache=False)
+    whole_f, whole_l, _ = netcore._forward(m, x, None, False)
     sizes = count_chunks(monkeypatch)
     feats, logits = m.forward(x)
     assert sorted(sizes) == [step, step + 3]
@@ -284,12 +278,12 @@ def test_flattened_mlp_chunks_by_flattened_pixels(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["cnn", "attn", "mlp"])
 def test_train_forward_is_unchunked(kind, monkeypatch):
-    # a loss's train-mode forward is one pass over the whole batch, with the
+    # a loss's train forward is one pass over the whole batch, with the
     # draws of one whole_forward
     m = build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
     x = np.random.default_rng(6).random((37, 16, 16, 3))
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    whole_forward(m, x, rng_a)
+    whole_forward(m, x, rng_a, train=True)
     sizes = count_chunks(monkeypatch)
     loss_and_gradients(m, x, [(label_map((37, 16, 16), 6), None)], rng=rng_b)
     assert sizes == [37]
@@ -299,7 +293,7 @@ def test_train_forward_is_unchunked(kind, monkeypatch):
 def test_eval_forward_frees_each_patch_matrix_after_its_matmul():
     # one 16-image eval chunk at 16x16: each block conv's (4096, 144) float32
     # patch matrix is 2.4 MB, and no two may be alive at once
-    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3)
     x = np.random.default_rng(8).random((16, 16, 16, 3)).astype(np.float32)
     m.forward(x)   # a first call may allocate what later calls reuse
     tracemalloc.start()
@@ -313,15 +307,15 @@ def test_eval_forward_frees_each_patch_matrix_after_its_matmul():
 
 
 def chunked_model(kind, monkeypatch):
-    """An eval model on 16x16x3 images, 16 images a chunk; the flat mlp takes
+    """A noisy model on 16x16x3 images, 16 images a chunk; the flat mlp takes
     them flattened, with the chunk size cut to 16 flattened pixels, and attn
     has it cut to 16 images' 1024 tokens."""
     if kind == "flat-mlp":
         monkeypatch.setattr(netcore, "EVAL_CHUNK_ROWS", 16)
-        return build_model("mlp", K=6, C=16, noise=NOISY, seed=3, in_channels=768).eval()
+        return build_model("mlp", K=6, C=16, noise=NOISY, seed=3, in_channels=768)
     if kind == "attn":
         monkeypatch.setattr(netcore, "EVAL_CHUNK_ROWS", 1024)
-    return build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3).eval()
+    return build_model(kind, K=6, C=16, noise=NOISY, seed=3, in_channels=3)
 
 
 @pytest.mark.parametrize("kind", ["cnn", "attn", "mlp", "flat-mlp"])
@@ -373,7 +367,7 @@ def test_eval_workers_are_spare_cpus_capped_by_chunks(chunks, monkeypatch):
 
     monkeypatch.setattr(netcore, "_eval_pool", lambda: SimpleNamespace(submit=submit))
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 3)
-    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3)
     try:
         m.forward(np.zeros((16 * chunks, 16, 16, 3)))
     finally:
@@ -391,16 +385,38 @@ def test_eval_forward_with_noise_draws_nothing(spare, monkeypatch):
     # the eval forward passes no generator down, so a draw would be an error
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: spare)
     for kind in ("cnn", "attn", "mlp"):
-        m = small_model(kind, noise=NOISY).eval()
+        m = small_model(kind, noise=NOISY)
         x = np.random.default_rng(1).random((37, 16, 16, 5 if kind == "mlp" else 2))
         _, logits = m.forward(x)
         assert logits.tobytes() == whole_forward(m, x)[1].tobytes()
 
 
+@pytest.mark.parametrize("kind", ["cnn", "attn", "mlp"])
+def test_a_built_noisy_model_runs_every_eval_forward_as_it_is(kind):
+    # a model has no mode: fresh from build_model, as a baseline or a student
+    # is, it runs each eval forward with the bits of one unchunked eval
+    # forward, and teacher_predict draws only photometric's noise from its rng
+    m = small_model(kind, noise=NOISY)
+    x = small_input(kind, n=5)
+    want_f, want_l = whole_forward(m, x)
+    feats, logits = m.forward(x)
+    assert feats.tobytes() == want_f.tobytes() and logits.tobytes() == want_l.tobytes()
+    (chunk,) = netcore.eval_chunks([m], x, lambda rows, z: z)
+    assert netcore.pixels(m, chunk).tobytes() == want_l.tobytes()
+    rng, replay = np.random.default_rng(2), np.random.default_rng(2)
+    f, z = teacher_predict(m, x, 0.5, rng)
+    want_f, want_l, _ = netcore._forward(m, photometric(x, 0.5, replay), None, False)
+    assert f.tobytes() == want_f.tobytes() and z.tobytes() == want_l.tobytes()
+    assert rng.bit_generator.state == replay.bit_generator.state
+    # dropout is the identity, and each residual branch is scaled by its survival
+    quiet = small_model(kind).forward(x)[1]
+    assert np.array_equal(logits, quiet) == (kind == "mlp")
+
+
 @pytest.mark.parametrize("spare", [0, 3])
 def test_eval_chunk_error_reaches_the_caller(spare, monkeypatch):
     # every pixel of image i holds i, so a chunk knows where it starts
-    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3)
     x = np.broadcast_to(np.arange(48.0)[:, None, None, None], (48, 16, 16, 3))
     want_f, want_l = m.forward(x)
     inner = netcore._forward
@@ -423,7 +439,7 @@ def test_eval_chunk_error_reaches_the_caller(spare, monkeypatch):
 def test_worker_error_reaches_the_caller_and_stops_the_rest(monkeypatch):
     # the caller's first chunk waits until the worker has failed; the failure
     # leaves the caller no further chunk, and its error is the one raised
-    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3)
     x = np.random.default_rng(2).random((80, 16, 16, 3))   # 5 chunks
     inner = netcore._forward
     failed = threading.Event()
@@ -451,7 +467,7 @@ def test_forked_child_runs_eval_chunks_without_its_parents_workers(monkeypatch):
     # the child inherits the pool object but none of its threads; a hang
     # there ends in the alarm's SIGALRM
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 1)
-    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3).eval()
+    m = build_model("cnn", K=6, C=16, seed=3, in_channels=3)
     x = np.random.default_rng(3).random((48, 16, 16, 3))
     want = m.forward(x)[1]
     pid = os.fork()
@@ -632,16 +648,19 @@ def test_loss_and_logit_gradient_give_the_bits_of_the_reduction_formulas(n_terms
                 assert dlogits.tobytes() == want_dlogits.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_attn_pixels_are_their_tokens_repeated(mode):
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+def test_attn_pixels_are_their_tokens_repeated(train):
     m = build_model("attn", K=5, C=4, noise=NOISY, seed=2, in_channels=2, patch=2)
-    m.mode = mode
     x = np.random.default_rng(3).random((3, 4, 6, 2))
-    feats, logits, cache = netcore._forward(m, x, np.random.default_rng(4), want_cache=True)
-    th, tw = cache["tshape"]
+    feats, logits, cache = netcore._forward(m, x, np.random.default_rng(4), train)
+    th, tw = feats.shape[1:3]
     assert (th, tw) == (2, 3)
-    assert_same_bits(netcore.pixels(m, feats), upsample_tokens(cache["z"], th, tw, 2))
-    tok = cache["fdrop"] @ m.params["head_w"] + m.params["head_b"]
+    z, tok = (a.reshape(3, th * tw, -1) for a in (feats, logits))
+    if train:   # the tokens the backward takes
+        assert cache["tshape"] == (th, tw)
+        assert_same_bits(z, cache["z"])
+        assert_same_bits(tok, cache["fdrop"] @ m.params["head_w"] + m.params["head_b"])
+    assert_same_bits(netcore.pixels(m, feats), upsample_tokens(z, th, tw, 2))
     assert_same_bits(netcore.pixels(m, logits), upsample_tokens(tok, th, tw, 2))
 
 
@@ -917,7 +936,6 @@ def test_checkpoint_roundtrip(tmp_path):
             assert loaded.num_classes == m.num_classes
             assert loaded.feature_dim == m.feature_dim
             assert loaded.noise == NOISY
-            assert loaded.mode == "eval"
             assert set(loaded.params) == set(m.params)
             for k in m.params:
                 assert loaded.params[k].dtype == m.params[k].dtype
@@ -925,11 +943,30 @@ def test_checkpoint_roundtrip(tmp_path):
             assert extras["bank/eta"].dtype == np.float64
             assert extras["bank/eta"].tobytes() == extra["bank/eta"].tobytes()
             x = small_input(kind)
-            assert m.eval().forward(x)[1].tobytes() == loaded.forward(x)[1].tobytes()
+            assert m.forward(x)[1].tobytes() == loaded.forward(x)[1].tobytes()
     # a float32 model's params take 4 bytes an entry on disk
     f32, f64 = (tmp_path / f"attn-{t}.ckpt" for t in ("float32", "float64"))
     numel = sum(w.size for w in built.params.values())
     assert f64.stat().st_size - f32.stat().st_size == 4 * numel
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn", "attn"])
+def test_a_loaded_model_trains_with_the_noise_of_the_built_one(kind, tmp_path):
+    # loss_and_gradients draws the loaded model's dropout and stochastic-depth
+    # noise from its rng, as it does the model that was saved
+    built = small_model(kind, seed=5, noise=NOISY)
+    save_checkpoint(tmp_path / "m.ckpt", built)
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    x = small_input(kind, n=4)
+    terms = [(label_map(x.shape[:1] + m_out_hw(built, x), 3), None)]
+    runs = []
+    for m in (built, loaded, small_model(kind, seed=5)):
+        rng = np.random.default_rng(7)
+        losses, grads = loss_and_gradients(m, x, terms, rng=rng)
+        runs.append((losses, [g.tobytes() for g in grads.values()], rng.bit_generator.state))
+    assert runs[1] == runs[0]
+    assert runs[0][2] != runs[2][2]   # the noise drew, where the quiet model's forward did not
+    assert runs[0][:2] != runs[2][:2]
 
 
 def test_v1_checkpoint_is_rejected_as_an_older_format(tmp_path):

@@ -135,7 +135,7 @@ def make_ds(images, labels):
 
 
 def test_init_bank_matches_brute_force():
-    model = build_model("cnn", K=3, C=4, seed=1, in_channels=2).eval()
+    model = build_model("cnn", K=3, C=4, seed=1, in_channels=2)
     rng = np.random.default_rng(0)
     labeled = make_ds(rng.random((2, 4, 4, 2)), rng.integers(0, 3, (2, 4, 4)))
     unlabeled = make_ds(rng.random((1, 4, 4, 2)), np.zeros((1, 4, 4)))
@@ -157,7 +157,7 @@ def test_init_bank_matches_brute_force():
 
 def test_init_bank_constant_features_give_that_value():
     # pixelwise mlp on constant input -> identical features everywhere
-    model = build_model("mlp", K=2, C=3, seed=0, in_channels=2).eval()
+    model = build_model("mlp", K=2, C=3, seed=0, in_channels=2)
     imgs = np.full((2, 2, 2, 2), 0.5)
     labeled = make_ds(imgs, np.zeros((2, 2, 2)))
     unlabeled = make_ds(np.zeros((0, 2, 2, 2)), np.zeros((0, 2, 2)))

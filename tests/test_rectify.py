@@ -33,7 +33,7 @@ def rand_probs(rng, shape):
 
 
 def test_teacher_predict_probabilities_and_determinism():
-    teacher = float64_copy(build_model("mlp", K=3, C=4, seed=0, in_channels=2)).eval()
+    teacher = float64_copy(build_model("mlp", K=3, C=4, seed=0, in_channels=2))
     x = np.random.default_rng(0).random((2, 1, 1, 2))
     f1, z1 = teacher_predict(teacher, x, WEAK, np.random.default_rng(1))
     f2, z2 = teacher_predict(teacher, x, WEAK, np.random.default_rng(2))
@@ -42,12 +42,6 @@ def test_teacher_predict_probabilities_and_determinism():
     feats, logits = teacher.forward(x)
     np.testing.assert_array_equal(f1, feats)
     np.testing.assert_array_equal(z1, logits)  # logits, not probabilities
-
-
-def test_teacher_predict_requires_eval_mode():
-    teacher = build_model("mlp", K=3, C=4, seed=0, in_channels=2)
-    with pytest.raises(StateError):
-        teacher_predict(teacher, np.zeros((1, 1, 1, 2)), WEAK, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,7 @@ def test_store_get_batch_follows_ids():
 
 def build_fixture(seed=0):
     rng = np.random.default_rng(seed)
-    teacher = build_model("mlp", K=2, C=3, seed=3, in_channels=2).eval()
+    teacher = build_model("mlp", K=2, C=3, seed=3, in_channels=2)
     bank = new_bank(2, 3, lam=0.9)
     bank.eta = rng.normal(size=(2, 3))
     bank.seen[:] = True

@@ -19,11 +19,11 @@ import pytest
 from rml_lab import cli, netcore, trainer
 from rml_lab.data import load_dataset
 from rml_lab.errors import TrainingError
-from rml_lab.metrics import confusion_matrix, tv_distance
+from rml_lab.metrics import confusion_matrix
 from rml_lab.netcore import NoiseConfig, build_model, save_checkpoint
 from rml_lab.trainer import RmlConfig, eval_confusion, evaluate_model, init_stage
 
-from oracles import soft_predictions, whole_scores
+from oracles import soft_predictions, tv_distance, whole_scores
 
 K = 6
 KINDS = ("cnn", "attn", "mlp")
@@ -54,7 +54,7 @@ def data_dirs(tmp_path_factory):
 
 
 def model(kind, seed=3):
-    """A noisy model in train mode, as a baseline or a student is."""
+    """A noisy model, as a baseline or a student is."""
     return build_model(kind, K=K, C=8, noise=NOISY, seed=seed, in_channels=3)
 
 
@@ -70,20 +70,18 @@ def test_evaluate_model_is_the_whole_array_score(kind, n, spare, data_dirs):
     np.testing.assert_array_equal(eval_confusion(m, ds, K), confusion_matrix(pred, ds.labels, K))
     _, miou, acc = whole_scores(m, ds.images, ds.labels, K)
     assert repr(evaluate_model(m, ds, K)) == repr((miou, acc))
-    assert m.mode == "train"
 
 
 @pytest.mark.parametrize("n", BATCHES)
 @pytest.mark.parametrize("kind", KINDS)
 def test_pair_tv_is_the_whole_array_scores(kind, n, spare, data_dirs):
-    models = [model(kind), model(PEER[kind], seed=4).eval()]
+    models = [model(kind), model(PEER[kind], seed=4)]
     ds = split(data_dirs, n)
     want = [whole_scores(m, ds.images, ds.labels, K) for m in models]
     tv = tv_distance(*(soft_predictions(m, ds.images) for m in models))
     assert tv > 0
     got = trainer._pair_tv(models, ds, K, n)
     assert repr(got) == repr(([w[1] for w in want], [w[2] for w in want], tv))
-    assert [m.mode for m in models] == ["train", "eval"]
 
 
 @pytest.mark.parametrize("n", BATCHES)
@@ -122,7 +120,6 @@ def test_stage_store_is_the_whole_array_predictions(kind, n, spare, data_dirs):
         learners = init_stage(baselines, unlabeled, unlabeled, cfg, K, stage, rngs)
         for learner, w in zip(learners, want):
             assert learner.store.p0.tobytes() == w.tobytes()
-    assert [b.mode for b in pair] == ["train", "train"]
 
 
 def failing_on_a_worker(monkeypatch):
@@ -151,7 +148,7 @@ def test_scoring_error_on_a_worker_reaches_evaluate_model_once(monkeypatch, data
     raised = failing_on_a_worker(monkeypatch)
     with pytest.raises(TrainingError, match="scoring on a worker"):
         evaluate_model(m, ds, K)
-    assert len(raised) == 1 and m.mode == "train"
+    assert len(raised) == 1
     monkeypatch.undo()
     monkeypatch.setattr(netcore, "_spare_cpus", lambda: 1)   # the pool serves the next call
     assert repr(evaluate_model(m, ds, K)) == repr(whole_scores(m, ds.images, ds.labels, K)[1:])

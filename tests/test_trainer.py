@@ -10,7 +10,7 @@ from rml_lab.augment import mix_images, photometric
 from rml_lab.data import Dataset, generate_shapes_dataset, make_split
 from rml_lab import netcore, trainer
 from rml_lab.errors import TrainingError
-from rml_lab.metrics import pseudo_accuracy, tv_distance
+from rml_lab.metrics import pseudo_accuracy
 from rml_lab.netcore import load_checkpoint, softmax
 from rml_lab.protobank import init_bank
 from rml_lab.rectify import harden_with_threshold
@@ -25,7 +25,7 @@ from rml_lab.trainer import (
     unlabeled_step,
 )
 
-from oracles import cross_entropy, float64_copy, soft_predictions
+from oracles import cross_entropy, float64_copy, soft_predictions, tv_distance
 
 K = 4
 # no dropout and no stochastic depth
@@ -89,7 +89,7 @@ def test_baseline_separable_reaches_high_accuracy():
     cfg = tiny_cfg(arch_pair="mlp", feature_dim=8, baseline_iterations=400,
                    lr=0.5, **NO_MODEL_NOISE)
     model = train_baseline(ds, cfg, k=2)
-    preds = softmax(model.eval().forward(ds.images.astype(np.float64))[1]).argmax(-1)
+    preds = softmax(model.forward(ds.images.astype(np.float64))[1]).argmax(-1)
     assert (preds == ds.labels).mean() >= 0.99
 
 
@@ -127,7 +127,6 @@ def test_init_stage_contracts(shapes_data):
         for model in (learner.student, learner.teacher):
             for key in base.params:
                 np.testing.assert_array_equal(model.params[key], base.params[key])
-    assert learners[0].teacher.mode == "eval" and learners[0].student.mode == "train"
     # store covers every unlabeled id exactly once, with the baseline's labels
     store = learners[0].store
     assert len(store.rows) == len(unlabeled) and learners[1].store is store
@@ -220,7 +219,7 @@ def test_labeled_step_loss_matches_direct_ce(shapes_data):
     x, y = labeled.images[:4], labeled.labels[:4]
     losses = labeled_step(learners, x, y, cfg, lr=0.05)
     for i in range(2):
-        p = softmax(frozen[i].student.eval().forward(x.astype(np.float64))[1])
+        p = softmax(frozen[i].student.forward(x.astype(np.float64))[1])
         expected = cross_entropy(p, np.eye(K)[y])
         assert losses[i] == pytest.approx(expected, rel=1e-9)
 
@@ -340,8 +339,7 @@ def test_pseudo_acc_scores_the_training_labels(shapes_data, variant):
         # the labels come from the variant's model, on weakly augmented input
         source = learner.student if variant == "direct_ml" else learner.teacher
         xw = photometric(sub.images, cfg.weak_strength, replay)
-        np.testing.assert_array_equal(feats, source.clone().eval().forward(xw)[0])
-    assert [learner.student.mode for learner in learners] == ["train", "train"]
+        np.testing.assert_array_equal(feats, source.forward(xw)[0])
 
 
 def test_teacher_update_is_exactly_ema_of_post_step_student(shapes_data):
@@ -406,7 +404,7 @@ def test_four_term_loss_oracle(shapes_data):
         mixed = mask_stack[..., None] * y1 + (1 - mask_stack[..., None]) * y2
         yhat.append(mixed)
     for i in range(2):
-        p_student = softmax(frozen[i].student.eval().forward(x_mix)[1])
+        p_student = softmax(frozen[i].student.forward(x_mix)[1])
         ce_peer = cross_entropy(p_student, yhat[1 - i])
         ce_self = cross_entropy(p_student, yhat[i])
         assert info.loss_terms[i][0] == pytest.approx(ce_peer, rel=1e-9)
@@ -435,11 +433,11 @@ def test_direct_ml_uses_cross_terms_only(shapes_data):
     x_mix = mix_images(b1[0], b2[0], mask_stack)
     for i in range(2):
         peer = 1 - i
-        p1 = softmax(frozen[peer].student.eval().forward(b1[0].astype(np.float64))[1])
-        p2 = softmax(frozen[peer].student.eval().forward(b2[0].astype(np.float64))[1])
+        p1 = softmax(frozen[peer].student.forward(b1[0].astype(np.float64))[1])
+        p2 = softmax(frozen[peer].student.forward(b2[0].astype(np.float64))[1])
         mixed = (mask_stack[..., None] * np.eye(K)[harden_with_threshold(p1, 0.0).labels]
                  + (1 - mask_stack[..., None]) * np.eye(K)[harden_with_threshold(p2, 0.0).labels])
-        p_student = softmax(frozen[i].student.eval().forward(x_mix)[1])
+        p_student = softmax(frozen[i].student.forward(x_mix)[1])
         assert losses[i] == pytest.approx(cross_entropy(p_student, mixed), rel=1e-9)
 
 
