@@ -252,7 +252,12 @@ def emit_curves(metrics_dir, out_dir=None) -> tuple[int, int]:
     for jl in sorted(metrics_dir.glob("**/metrics.jsonl")):
         prefix = "".join(part + "_" for part in jl.parent.relative_to(metrics_dir).parts)
         seen: set[int] = set()
-        for line in jl.read_bytes().splitlines():
+        try:
+            lines = jl.read_bytes().splitlines()
+        except OSError:   # a match that is not a readable file, such as a directory
+            warnings += 1
+            continue
+        for line in lines:
             if not line.strip():
                 continue
             try:   # a line that is not UTF-8 is a UnicodeDecodeError, a ValueError

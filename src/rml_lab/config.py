@@ -95,6 +95,8 @@ def validate_config(path) -> ExperimentConfig:
         blob = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:   # an int past the digit limit, or deep nesting
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     after = 0
     if isinstance(blob, dict) and "resolved_config" in blob:
         after = _line_of(text, "resolved_config") or 0

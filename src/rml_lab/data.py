@@ -101,8 +101,6 @@ class DatasetSplit:
 
 def make_split(n_train: int, fraction: float, seed: int) -> DatasetSplit:
     """Uniform labeled/unlabeled partition of ``range(n_train)``."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"labeled fraction out of (0,1]: {fraction}")
     n_labeled = round(fraction * n_train)
     if n_labeled == 0:
         raise ConfigError(f"fraction {fraction} yields zero labeled images")
@@ -149,8 +147,8 @@ def generate_shapes_dataset(n: int, h: int, w: int, k: int, rare_class_freq: flo
     """
     if n < 1:
         raise ConfigError(f"a dataset needs n >= 1 images, got {n}")
-    if k < 3:
-        raise ConfigError(f"shapes dataset needs K >= 3, got {k}")
+    if not 3 <= k <= 256:   # labels.idx stores u8 classes
+        raise ConfigError(f"shapes dataset needs 3 <= K <= 256, got {k}")
     if min(h, w) < 8:  # a common shape's radius is drawn from [2, 0.28 * side)
         raise ConfigError(f"shapes images need sides >= 8, got {h}x{w}")
     if not 0.0 < rare_class_freq < 0.5:
@@ -285,7 +283,8 @@ def _read_pair(img_path: Path, lab_path: Path, k: int) -> Dataset:
     if labels.ndim == 1:
         labels = labels.reshape(-1, 1, 1)
     # one label map per image: 1x1 for classification, else the image's HxW
-    if len(labels) != len(images) or labels.shape[1:] not in ((1, 1), images.shape[1:3]):
+    if (min(images.ndim, labels.ndim) == 0 or len(labels) != len(images)
+            or labels.shape[1:] not in ((1, 1), images.shape[1:3])):
         raise FormatError(f"{lab_path}: labels of shape {labels.shape} do not "
                           f"match {img_path.name} of shape {images.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:

@@ -42,9 +42,3 @@ class TrainingError(RmlError):
     """Training diverged or produced non-finite values."""
 
     category = "training"
-
-
-class InternalError(RmlError):
-    """Invariant violated inside the library itself."""
-
-    category = "internal"

@@ -34,18 +34,16 @@ its logit gradient is ``p`` with 1 taken off at the label. Those are the
 bits of the one-hot formulas ``-sum_k y_k log p_k`` and ``p - y``.
 
 Eval forwards run over chunks of whole images, about ``EVAL_CHUNK_ROWS`` rows each
-on the grid of the pass's model with the most rows an image. So a large batch never builds
-one big im2col patch matrix (75 MB per conv layer at 256 images of 16x16 with 16 channels)
-that must be faulted in on every call, and an attn model alone takes p*p times the images
-(at 16 images a chunk its many small ops gained nothing from the eval worker). BLAS sums
-small matrices in another order, so a row's result can depend on how many rows its matmul
-has; no chunk is therefore smaller than the chunk size unless the whole batch is, and each
-chunk's output is bitwise that of a forward over the whole batch (see tests/test_netcore.py
-and tests/test_grid.py). :func:`eval_chunks`, the one chunk runner, hands each chunk's
-outputs of one or more models to a consumer's function, so consumers reduce inside the
-chunks (confusion counts, TV rows) and build no ``(N, H, W, K)`` array;
-``NetModel.forward`` concatenates them. The train forward is not chunked, so its
-random draws are those of one forward over its whole batch.
+on the grid of the pass's model with the most rows an image, so no pass builds one
+im2col patch matrix of its whole batch (75 MB per conv layer at 256 images of 16x16
+with 16 channels), and an attn model alone takes p*p times the images. BLAS may sum a
+smaller matmul in another order, so no chunk is smaller than the chunk size unless the
+whole batch is, and each chunk's output is bitwise that of a forward over the whole
+batch (see tests/test_netcore.py and tests/test_grid.py). :func:`eval_chunks`, the one
+chunk runner, hands each chunk's outputs of one or more models to a consumer's
+function, so consumers reduce inside the chunks (confusion counts, TV rows) and build
+no ``(N, H, W, K)`` array; ``NetModel.forward`` concatenates them. The train forward is
+not chunked, so its random draws are those of one forward over its whole batch.
 
 The caller and up to one worker per other usable CPU each take the next
 chunk until none is left. No chunk's bits depend on which thread ran it,
@@ -56,26 +54,19 @@ pool, made on first use.
 
 On glibc, importing this module sets the process's heap policy, so it
 holds for training before any eval pass and on a one-CPU host, where no
-pool is ever made. glibc keeps one malloc arena: a worker's own arena
-raised ``peak_rss_mb`` by 5-8% with one worker and by 12-17% with two,
-and one arena removed that. The heap's mmap and trim thresholds are
-fixed at 32 and 16 MB. Left alone, glibc moves them each time a large
-mapped array is freed, so how much freed memory the heap kept, and with
-it the process's peak RSS and the page faults that fetch that memory
-again, varied with the order of allocations and the threads' timing: on
-glibc 2.36 a fresh ``rml-lab train`` of a two-stage cnn pair took about
-200 thousand minor faults, and 17 thousand at fixed thresholds. At fixed
-thresholds an array under 32 MB comes from the heap and, once freed, is
-reused without page faults, and free memory beyond 16 MB at the heap's
-top goes back to the system. 16 MB clears one eval pass: tracemalloc
-puts a 16-image cnn eval chunk at 3.8 MB, the caller's and a worker's
-chunks together at 7.7 MB and a whole ``rml-lab eval`` call with one
-worker, its data load included, at 9.6 MB, so at 8 MB each evaluation
-handed its heap top back and the next one faulted it in again. 32 MB
-kept more than a pass needs and raised the ``ckpt-eval`` benchmark's
-peak RSS by about 6%. A training run and a baseline end with
-:func:`release_heap`, which hands back the rest (glibc's
-``malloc_trim``).
+pool is ever made. glibc keeps one malloc arena, since a worker's own
+arena raised peak RSS by up to 17%. The heap's mmap threshold is fixed at
+32 MB, so an array under it comes from the heap and, once freed, is reused
+without page faults; left alone, glibc moves the threshold each time a
+large mapped array is freed, and a fresh two-stage ``rml-lab train`` took
+about 12 times the minor faults. The trim threshold is fixed at 12 MB:
+free memory beyond it at the heap's top goes back to the system. It clears
+one eval pass, which with one worker holds about 10 MB, and stays below the
+13 to 16 MB that a whole-batch forward and its scoring leave free, so that
+much always goes back: a free top near the threshold is kept or not by
+thread timing, and the process's peak RSS with it. A training run and a
+baseline end with :func:`release_heap`, which hands back the rest
+(glibc's ``malloc_trim``).
 
 A 3x3 same-padding conv is one matmul of the ``(N*H*W, 9*Ci)`` im2col patch
 matrix (tap-major, then channel) with the ``(9*Ci, Co)`` weights. The
@@ -111,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, FormatError, InputError, InternalError, TrainingError
+from .errors import ConfigError, FormatError, InputError, TrainingError
 
 ARCH_KINDS = ("mlp", "cnn", "attn")
 
@@ -224,7 +215,7 @@ def _set_heap_policy():
     mallopt = libc.mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     # M_ARENA_MAX (-8), M_MMAP_THRESHOLD (-3), M_TRIM_THRESHOLD (-1)
-    for param, value in ((-8, 1), (-3, 32 << 20), (-1, 16 << 20)):
+    for param, value in ((-8, 1), (-3, 32 << 20), (-1, 12 << 20)):
         mallopt(param, value)
     trim = libc.malloc_trim
     trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
@@ -337,7 +328,6 @@ def build_model(kind: str, K: int, C: int, noise: NoiseConfig = NoiseConfig(), s
     and then cast; biases start at zero. Two builds from the same arguments
     are parameter-identical.
     """
-    noise.validate()
     spec = ArchSpec(kind, in_channels, hidden, patch)
     rng = np.random.default_rng(seed)
     params = {name: (_glorot(rng, shape) if len(shape) == 2 else np.zeros(shape))
@@ -679,12 +669,6 @@ def loss_and_gradients(m: NetModel, x: np.ndarray, terms,
 
 def sgd_step(m: NetModel, grads: dict[str, np.ndarray], lr: float) -> NetModel:
     """In-place plain SGD: every parameter moves by ``-lr * grad``."""
-    if lr < 0:
-        raise ConfigError(f"negative learning rate: {lr}")
-    if set(grads) != set(m.params):
-        raise InternalError(
-            f"gradient keys {sorted(grads)} do not match parameters {sorted(m.params)}"
-        )
     for name, w in m.params.items():
         w -= lr * grads[name]
     if not np.isfinite(np.concatenate([w.ravel() for w in m.params.values()])).all():
@@ -695,13 +679,7 @@ def sgd_step(m: NetModel, grads: dict[str, np.ndarray], lr: float) -> NetModel:
 
 def ema_params(teacher: NetModel, student: NetModel, alpha: float) -> NetModel:
     """In-place EMA: teacher <- alpha * teacher + (1 - alpha) * student."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha out of [0,1]: {alpha}")
-    if teacher.arch != student.arch or set(teacher.params) != set(student.params):
-        raise InternalError("teacher/student architecture mismatch")
     for name, w in teacher.params.items():
-        if w.shape != student.params[name].shape:
-            raise InternalError(f"parameter shape mismatch on {name}")
         w *= alpha
         w += (1.0 - alpha) * student.params[name]
     return teacher

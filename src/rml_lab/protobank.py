@@ -35,8 +35,6 @@ class PrototypeBank:
 
 
 def new_bank(k: int, c: int, lam: float) -> PrototypeBank:
-    if not 0.0 <= lam < 1.0:
-        raise InputError(f"prototype momentum out of [0,1): {lam}")
     return PrototypeBank(
         eta=np.zeros((k, c)),
         pi=np.full(k, 1.0 / k),

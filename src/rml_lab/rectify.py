@@ -77,8 +77,6 @@ def harden_with_threshold(p: np.ndarray, tau: float) -> HardLabels:
     Ties break toward the lowest class index.
     """
     p = np.asarray(p, dtype=np.float64)
-    if not 0.0 <= tau < 1.0:
-        raise InputError(f"tau out of [0,1): {tau}")
     valid = (class_max(p)[..., 0] > tau).astype(np.float64)
     return HardLabels(p.argmax(axis=-1), valid, p.shape[-1])
 
@@ -95,8 +93,6 @@ def denoise(p0: np.ndarray, omega: np.ndarray, tau: float) -> tuple[HardLabels, 
     omega = np.asarray(omega, dtype=np.float64)
     if p0.shape != omega.shape:
         raise InputError(f"p0 {p0.shape} and omega {omega.shape} not aligned")
-    if not 0.0 <= tau < 1.0:
-        raise InputError(f"tau out of [0,1): {tau}")
     prod = omega * p0
     norm = class_sum(prod)
     dead = norm[..., 0] == 0.0
@@ -122,9 +118,7 @@ def rectified_labels(teacher, x: np.ndarray, ids, bank, store: StagePseudoStore,
     feats, logits = teacher_predict(teacher, x, weak_strength, rng)
     if confidence_source == "prototype":
         omega = confidence_weights(feats, bank)
-    elif confidence_source == "teacher_softmax":
-        omega = softmax(logits)
     else:
-        raise InputError(f"unknown confidence source {confidence_source!r}")
+        omega = softmax(logits)
     labels, fallback = denoise(p0, pixels(teacher, omega), tau)
     return labels, pixels(teacher, feats), fallback

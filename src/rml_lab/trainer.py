@@ -25,7 +25,7 @@ both training and the pseudo-accuracy metric:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,10 @@ class RmlConfig:
     fresh initializations, with no supervised warm start (the supervised
     variant needs at least 1). CutMix follows the label maps: the unlabeled
     pairs are mixed exactly when their labels are per-pixel.
+
+    :meth:`validate` is the one reporter of a bad value: :func:`run_rml` and
+    :func:`train_baseline` call it, and nothing inside the run checks a value
+    again. Every float field converts to a float; a value stays as written.
     """
 
     variant: str = "rml"
@@ -114,6 +118,11 @@ class RmlConfig:
         self.feature_dim = _pair(self.feature_dim)
 
     def validate(self) -> "RmlConfig":
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise ConfigError(f"{name} is too large for a float", name) from None
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}", "variant")
         if len(self.arch_pair) != 2 or any(a not in ARCH_KINDS for a in self.arch_pair):
@@ -282,6 +291,7 @@ def train_baseline(labeled: Dataset, cfg: RmlConfig, k: int, arch_index: int = 0
                    seed: int | None = None, on_eval=None) -> NetModel:
     """Supervised training on weakly augmented labeled data only; calls
     ``on_eval(iteration, lr, loss, model)``, if given, every eval interval."""
+    cfg.validate()
     if len(labeled) == 0:
         raise ConfigError("baseline training needs a nonempty labeled set")
     seed = cfg.seed if seed is None else seed

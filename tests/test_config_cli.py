@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -11,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rml_lab import cli, netcore
-from rml_lab.config import config_from_dict, resolved_dump, validate_config
+from rml_lab.config import ExperimentConfig, config_from_dict, resolved_dump, validate_config
 from rml_lab.data import load_dataset, make_split, read_idx, write_idx
 from rml_lab.errors import ConfigError, StateError
 from rml_lab.netcore import NoiseConfig, build_model, save_checkpoint
@@ -166,6 +168,62 @@ def test_missing_config_file(tmp_path):
         validate_config(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["int-of-5000-digits", "lists-100000-deep"])
+def test_json_past_the_parser_limits_is_one_config_error(tmp_path, capsys, value):
+    # json.loads raises a plain ValueError for an int of more than 4300 digits
+    # and a RecursionError for deep nesting, neither a JSONDecodeError
+    path = tmp_path / "cfg.json"
+    path.write_text('{"lr": ' + value + "}\n")
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith(f"error:config: {path}: invalid JSON (")
+
+
+# the fields a config file may set ("train" is not one), and keys no schema has
+CONFIG_KEYS = ([f.name for f in dataclasses.fields(ExperimentConfig)]
+               + [f.name for f in dataclasses.fields(RmlConfig)] + ["dataset", "LR", ""])
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RmlConfig) if f.type == "float"]
+NUMBERS = st.one_of(st.integers(-10**400, 10**400), st.floats())
+JSON_VALUES = st.recursive(
+    st.one_of(NUMBERS, st.booleans(), st.none(), st.text(max_size=6),
+              st.sampled_from(["cnn", "attn", "rml", "supervised", "teacher_softmax"])),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+DEFAULTS = ExperimentConfig().to_dict()
+# a key takes its default, a number or any value, so that some configs are valid
+CONFIG_OBJECTS = st.lists(st.sampled_from(CONFIG_KEYS), unique=True, max_size=5).flatmap(
+    lambda keys: st.fixed_dictionaries({
+        k: st.one_of(st.just(DEFAULTS.get(k)), NUMBERS, JSON_VALUES) for k in keys}))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_contract")
+
+
+@settings(max_examples=200, deadline=None)
+@example(blob={"lr": 10**400})
+@given(blob=CONFIG_OBJECTS)
+def test_any_config_object_is_a_fixpoint_dump_or_one_config_error(config_dir, blob):
+    path = config_dir / "cfg.json"
+    path.write_text(json.dumps(blob, indent=2) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["validate", "--config", str(path)])
+    if rc == 0:
+        assert err.getvalue() == ""
+        dump = out.getvalue()
+        assert resolved_dump(config_from_dict(json.loads(dump))) == dump
+        # the run converts every float field to a float
+        assert all(math.isfinite(float(json.loads(dump)[f])) for f in FLOAT_FIELDS), dump
+    else:
+        assert rc == cli.EXIT_CODES["config"] == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:config:"), lines
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 # ---------------------------------------------------------------------------
@@ -200,6 +258,19 @@ def test_gen_data_too_small_shapes_is_one_config_error(tmp_path, capsys, size):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:config:") and ">= 8" in err[0]
     assert not out.exists()
+
+
+def test_gen_data_k_past_u8_labels_is_one_config_error(tmp_path, capsys):
+    # labels.idx stores u8 classes, so K=257 would wrap its rare class to 0
+    out = tmp_path / "data"
+    rc = cli.main(["gen-data", "--dataset", "shapes", "--out", str(out), "--k", "257",
+                   "--n", "4", "--n-eval", "2"])
+    assert rc == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error:config: shapes dataset needs 3 <= K <= 256, "
+                                         "got 257"]
+    assert not (out / "labels.idx").exists()
 
 
 @pytest.mark.parametrize("dataset, flags", [
@@ -294,6 +365,24 @@ def test_train_writes_manifest_and_reruns_bit_exact(tmp_path, capsys):
     assert (out2 / "metrics.jsonl").read_bytes() == metrics1
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m2["artifacts"]["metrics.jsonl"] == manifest["artifacts"]["metrics.jsonl"]
+
+
+@pytest.mark.parametrize("field", ["lr", "lr_power", "weak_strength", "strong_strength"])
+def test_float_field_past_float_range_is_one_config_error_before_training(tmp_path, capsys,
+                                                                         field):
+    # these fields have no upper bound, but the run converts each to a float
+    data = gen_shapes(tmp_path)
+    out = tmp_path / "run"
+    path = write_config(tmp_path, {**quick_train_blob(data, out), field: 10**400})
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), start=1)
+                if f'"{field}":' in text)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CODES["config"] == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error:config: {path}:{line}: {field} is too large for a float"]
+    assert not out.exists()
 
 
 def test_train_missing_dataset_fails_with_category(tmp_path, capsys):
@@ -475,6 +564,15 @@ def test_emit_curves_counts_a_line_that_is_not_utf8_as_one_warning(tmp_path, cap
     assert json.loads(capsys.readouterr().out) == {"series": 1, "warnings": 1}
     rows = (tmp_path / "curves" / "lr.csv").read_text().splitlines()
     assert rows == ["iteration,value", "10,0.1", "20,0.2"]
+
+
+def test_emit_curves_counts_a_directory_named_metrics_jsonl_as_one_warning(tmp_path, capsys):
+    (tmp_path / "run" / "metrics.jsonl").mkdir(parents=True)
+    (tmp_path / "metrics.jsonl").write_text('{"iteration": 10, "lr": 0.1}\n')
+    assert cli.main(["emit-curves", "--metrics", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"series": 1, "warnings": 1}
+    rows = (tmp_path / "curves" / "lr.csv").read_text().splitlines()
+    assert rows == ["iteration,value", "10,0.1"]
 
 
 def test_emit_curves_three_records(tmp_path, capsys):
@@ -866,8 +964,9 @@ def test_eval_of_any_one_byte_overwrite_is_json_or_one_error(small_checkpoint, d
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("name, cut", [("labels.idx", lambda a: a[:-1]),
-                                       ("eval_labels.idx", lambda a: a[:, :, 1:])],
-                         ids=["one-label-short", "label-maps-narrower"])
+                                       ("eval_labels.idx", lambda a: a[:, :, 1:]),
+                                       ("labels.idx", lambda a: a[0, 0, 0])],
+                         ids=["one-label-short", "label-maps-narrower", "0-d-labels"])
 def test_labels_that_disagree_with_their_images_are_one_format_error(
         small_checkpoint, tmp_path, capsys, command, name, cut):
     data, _, blob = small_checkpoint
@@ -908,6 +1007,21 @@ def test_idx_dims_past_any_array_are_one_format_error(small_checkpoint, tmp_path
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1, err
     assert err[0].startswith("error:format:") and str(bad / "labels.idx") in err[0], err[0]
+
+
+def test_train_on_a_0d_images_tensor_is_one_format_error(small_checkpoint, tmp_path, capsys):
+    data, _, _ = small_checkpoint
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    write_idx(read_idx(bad / "images.idx")[0, 0, 0, 0], bad / "images.idx")
+    out = tmp_path / "run"
+    path = write_config(tmp_path, quick_train_blob(bad, out))
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CODES["format"] == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, err
+    assert err[0].startswith("error:format:") and "shape ()" in err[0], err[0]
+    assert not out.exists()
 
 
 IDX_NAMES = ("images.idx", "labels.idx", "eval_images.idx", "eval_labels.idx")

@@ -1,6 +1,6 @@
 """The glibc heap policy netcore sets when it is imported.
 
-One malloc arena, a 32 MB mmap threshold and a 16 MB trim threshold hold
+One malloc arena, a 32 MB mmap threshold and a 12 MB trim threshold hold
 from the import on, whether or not an eval pool is ever made, so freed
 arrays are reused without page faults. The check runs in a fresh process
 pinned to one CPU before it imports rml_lab: there eval forwards have no

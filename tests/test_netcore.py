@@ -17,7 +17,6 @@ from rml_lab.errors import (
     ConfigError,
     FormatError,
     InputError,
-    InternalError,
     TrainingError,
 )
 from rml_lab.netcore import (
@@ -863,12 +862,6 @@ def test_sgd_two_steps_linear():
         np.testing.assert_allclose(m1.params[k], m2.params[k], atol=1e-12)
 
 
-def test_sgd_key_mismatch_is_internal_error():
-    m = small_model("mlp")
-    with pytest.raises(InternalError):
-        sgd_step(m, {"nope": np.zeros(3)}, 0.1)
-
-
 def test_sgd_names_the_first_non_finite_parameter():
     m = small_model("mlp")
     grads = m.zero_grads()
@@ -907,13 +900,6 @@ def test_ema_geometric_decay_oracle():
     for k in t.params:
         expected = s.params[k] + (alpha ** 100) * diff0[k]
         np.testing.assert_allclose(t.params[k], expected, rtol=1e-9, atol=1e-15)
-
-
-def test_ema_arch_mismatch():
-    t = small_model("mlp")
-    s = small_model("cnn")
-    with pytest.raises(InternalError):
-        ema_params(t, s, 0.9)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from rml_lab.augment import mix_images, photometric
 from rml_lab.data import Dataset, generate_shapes_dataset, make_split
 from rml_lab import netcore, trainer
-from rml_lab.errors import TrainingError
+from rml_lab.errors import ConfigError, TrainingError
 from rml_lab.metrics import pseudo_accuracy
 from rml_lab.netcore import load_checkpoint, softmax
 from rml_lab.protobank import init_bank
@@ -82,6 +82,15 @@ def separable_dataset(n=64, seed=0):
     x = rng.random((n, 1, 1, 3)).astype(np.float32) * 0.2
     x[..., 0] += 0.8 * labels[..., None][:, :, :, 0]
     return Dataset(x.astype(np.float32), labels, np.arange(n))
+
+
+def test_baseline_validates_its_config(shapes_data):
+    # the run converts lr to a float: past float range it is a config error
+    # before any model is built, as in run_rml
+    labeled, _, _ = shapes_data
+    cfg = dataclasses.replace(tiny_cfg(), lr=10**400)
+    with pytest.raises(ConfigError, match="^lr is too large for a float$"):
+        train_baseline(labeled, cfg, k=K)
 
 
 def test_baseline_separable_reaches_high_accuracy():
